@@ -28,7 +28,6 @@ from .hilb import (
     HilbCache,
     HilbPoincare,
     colored_partition_euler,
-    goettsche_bivariate,
     hilb_poincare,
     stable_betti,
     stable_series,
@@ -98,7 +97,6 @@ __all__ = [
     "generator_system",
     "geometric",
     "gl",
-    "goettsche_bivariate",
     "hilb_class",
     "hilb_poincare",
     "m_betti_table",

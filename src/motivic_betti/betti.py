@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .hilb import HilbCache, hilb_poincare
+from .hilb import HilbCache, hilb_poincare, replace_file
 
 SOURCE_GOETTSCHE = "goettsche"
 SOURCE_MINUS3 = "corrected_minus3"
@@ -163,15 +163,15 @@ def emit(obj, fmt: str, destination: Union[str, Path, io.TextIOBase]) -> None:
     """Write a table or report to a path or text stream.
 
     Byte-deterministic for a given object and format: fixed field order,
-    decimal-string integers, LF line endings.  I/O failures are re-raised
-    with the destination path attached.
+    decimal-string integers, LF line endings.  A path is replaced whole
+    through a temp file and a rename, never truncated in place.  I/O
+    failures are re-raised with the destination path attached.
     """
     payload = render(obj, fmt)
     if isinstance(destination, (str, Path)):
         path = Path(destination)
         try:
-            with open(path, "wb") as fh:
-                fh.write(payload.encode("utf-8"))
+            replace_file(path, payload)
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:

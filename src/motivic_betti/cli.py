@@ -150,6 +150,8 @@ def _cmd_hilb(args) -> int:
 
 
 def _cmd_stable(args) -> int:
+    if args.smax < 0:
+        raise ValueError(f"--smax must be >= 0, got {args.smax}")
     values = tuple(stable_betti(s) for s in range(args.smax + 1))
     _emit(args, StableOutput(args.smax, values))
     return 0

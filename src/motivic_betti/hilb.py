@@ -10,29 +10,39 @@ where the coefficient of ``z^i t^n`` is ``b_i(Hilb^n)``.  Odd-degree Betti
 numbers vanish and each ``Hilb^n`` is smooth projective of dimension
 ``2n``, so the ``t^n`` row is a palindromic polynomial of degree ``4n``.
 
+The rows come from one kernel that works in ``w = z^2`` on the low half of
+each row.  Row ``m`` is palindromic of degree ``2m`` in ``w``, so for
+``m <= n`` the coefficients of ``w^0 .. w^n`` hold its low half; one run
+yields every row ``0 .. n``.  Each row is packed into a single int, a
+fixed number of bits per coefficient (Kronecker substitution), and each
+geometric factor becomes one shift-add per row.  The slot width comes from
+the Euler number ``chi(Hilb^n)``, which bounds every coefficient, and each
+unpacked row must sum to its Euler number, so an overflow cannot pass
+silently.
+
 The low half of each row stabilizes: ``b_{2s}(Hilb^n)`` is independent of
 ``n`` once ``2s <= n``, and the stable values are generated by
 
     R(z) = 1/(1 - z^2)^2 * prod_{m >= 2} 1/(1 - z^{2m})^3.
 
-Two independent cross-checks live here as well: an Euler-number oracle
-that counts three-colored partitions by direct recursion (the ``z -> 1``
-specialization of the product is ``prod (1 - t^k)^{-3}``), and a disk
-cache with bit-exact round-trips so the quadratically-growing rows are
-computed once.
+An independent Euler-number oracle counts three-colored partitions by
+direct recursion (the ``z -> 1`` specialization of the product is
+``prod (1 - t^k)^{-3}``).  A disk cache with bit-exact round-trips keeps
+the rows; a cache file that fails to decode or validate is reported on
+stderr and treated as a miss, so the row is recomputed and rewritten.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
-from .series import BivariateSeries, IntPoly, TruncatedSeries, geometric
+from .series import IntPoly, TruncatedSeries, geometric
 
 CACHE_FORMAT_VERSION = 1
 GENERATOR_TAG = "goettsche-p2-triple-product"
@@ -82,7 +92,8 @@ class HilbCache:
     One JSON file per ``n`` (``hilb_<n>.json``) holding the coefficient
     vector as decimal strings, so no integer width is ever a concern.
     Writes go to a temp file in the same directory and are renamed into
-    place; concurrent readers never observe a torn file.
+    place; concurrent readers never observe a torn file.  A file that
+    fails to decode or validate is a miss, reported on stderr.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None):
@@ -101,7 +112,11 @@ class HilbCache:
         path = self.path_for(n)
         if path is None or not path.exists():
             return None
-        hp = _decode_cache_file(path.read_text(encoding="utf-8"), n)
+        try:
+            hp = _decode_cache_file(path.read_text(encoding="utf-8"), n)
+        except ValueError as exc:
+            print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
+            return None
         self._memory[n] = hp
         return hp
 
@@ -111,16 +126,26 @@ class HilbCache:
         if path is None:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = encode_cache_entry(hp)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        replace_file(path, encode_cache_entry(hp))
+
+
+def replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    The temp file lives in the same directory, so the rename is atomic: a
+    reader sees the old file or the new one, never a torn one.  It is
+    created with the umask's default mode, like a file opened for writing.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def encode_cache_entry(hp: HilbPoincare) -> str:
@@ -134,58 +159,84 @@ def encode_cache_entry(hp: HilbPoincare) -> str:
 
 
 def _decode_cache_file(text: str, expected_n: int) -> HilbPoincare:
+    """Parse and validate one cache file; any defect raises ``ValueError``."""
     obj = json.loads(text)
-    if obj.get("version") != CACHE_FORMAT_VERSION:
-        raise ValueError(f"unsupported cache version {obj.get('version')!r}")
-    if obj.get("n") != expected_n:
-        raise ValueError(f"cache file claims n={obj.get('n')!r}, expected {expected_n}")
-    coeffs = [int(c) for c in obj["coeffs"]]
+    try:
+        if obj.get("version") != CACHE_FORMAT_VERSION:
+            raise ValueError(f"unsupported cache version {obj.get('version')!r}")
+        if obj.get("n") != expected_n:
+            raise ValueError(f"cache file claims n={obj.get('n')!r}, expected {expected_n}")
+        coeffs = [int(c) for c in obj["coeffs"]]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed cache entry: {exc!r}") from exc
     return HilbPoincare(expected_n, IntPoly(coeffs))
 
 
-def _product_rows(tcap: int, zcap: int) -> list[list[int]]:
-    """Rows of the triple product, as mutable coefficient lists.
+# Factor ``k`` of the product is ``prod_b (1 - w^b t^k)^{-1}`` over the
+# exponents ``b = k + offset`` of ``w = z^2``, one per offset here.
+FACTOR_OFFSETS = (-1, 0, 1)
 
-    Multiplying a series by ``(1 - z^a t^k)^{-1}`` is the row recurrence
-    ``row[m] += z^a * row[m-k]`` taken in increasing ``m``, which costs one
-    shifted addition per row instead of a full convolution.
+
+def _euler_numbers(n: int) -> list[int]:
+    """``chi(Hilb^m)`` for ``m <= n``: the coefficients of ``prod (1-t^k)^{-3}``.
+
+    Each factor ``(1 - t^k)^{-1}`` is the in-place stride recurrence
+    ``e[m] += e[m-k]`` taken in increasing ``m``.
     """
-    rows = [[0] * zcap for _ in range(tcap)]
-    if zcap > 0:
-        rows[0][0] = 1
-    for k in range(1, tcap):
-        for a in (2 * k - 2, 2 * k, 2 * k + 2):
-            for m in range(k, tcap):
-                src = rows[m - k]
-                dst = rows[m]
-                for j in range(zcap - a):
-                    c = src[j]
-                    if c:
-                        dst[j + a] += c
-    return rows
+    e = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(3):
+            for m in range(k, n + 1):
+                e[m] += e[m - k]
+    return e
 
 
-def goettsche_bivariate(tcap: int, zcap: int) -> BivariateSeries:
-    """The triple product expanded below the caps.
+def _slot_width(euler_n: int) -> int:
+    """Bits per packed coefficient for rows up to ``n``, from ``chi(Hilb^n)``.
 
-    Only factors with ``k < tcap`` are multiplied: the ``k``-th factor is
-    congruent to 1 modulo ``t^k``, so the rest cannot touch the window.
+    Every term of the product is non-negative, so no partial coefficient
+    of any row ``m <= n`` exceeds ``chi(Hilb^n)``.
     """
-    if tcap < 1 or zcap < 1:
-        raise ValueError(f"caps must be >= 1, got ({tcap}, {zcap})")
-    rows = _product_rows(tcap, zcap)
-    return BivariateSeries(
-        {m: IntPoly(row) for m, row in enumerate(rows)}, tcap, zcap
-    )
+    return euler_n.bit_length() + 1
+
+
+def _half_rows(n: int, width: int) -> list[list[int]]:
+    """Coefficients of ``w^0 .. w^m`` in the ``t^m`` row, for every ``m <= n``.
+
+    Row ``m`` is packed into one int, ``width`` bits per coefficient of
+    ``w^0 .. w^n`` (Kronecker substitution), so the factor
+    ``(1 - w^b t^k)^{-1}`` becomes one shift-add per row,
+    ``row[m] += row[m-k] << width*b`` in increasing ``m``, masked back to
+    ``n + 1`` slots.  Row ``m`` has degree ``2m`` in ``w`` and ``m <= n``,
+    so those slots hold at least the low half of every row.
+    """
+    bits_len = width * (n + 1)
+    mask = (1 << bits_len) - 1
+    rows = [0] * (n + 1)
+    rows[0] = 1
+    for k in range(1, n + 1):
+        for offset in FACTOR_OFFSETS:
+            shift = width * (k + offset)
+            for m in range(k, n + 1):
+                rows[m] = (rows[m] + (rows[m - k] << shift)) & mask
+    halves = []
+    for m, packed in enumerate(rows):
+        bits = format(packed, f"0{bits_len}b")
+        halves.append([
+            int(bits[bits_len - width * (j + 1):bits_len - width * j], 2)
+            for j in range(m + 1)
+        ])
+    return halves
 
 
 def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
     """Poincare polynomial of ``Hilb^n(P^2)``, from the ``t^n`` row.
 
-    The row is extracted with ``zcap = 4n + 1``, i.e. the complete
-    polynomial; since the odd Betti numbers vanish, the signed coefficient
-    sum in the product equals the Poincare polynomial itself.  One product
-    expansion yields every row ``m <= n``, so all of them are cached.
+    One run of the kernel yields every row ``m <= n``, so all of them are
+    cached.  Each low half is mirrored into the full palindromic row.  A
+    slot width too narrow for a coefficient carries into the next slot or
+    past the mask, and either one changes the row's coefficient sum, so
+    every row is checked against its Euler number first.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -193,16 +244,20 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
         hit = cache.get(n)
         if hit is not None:
             return hit
-    rows = _product_rows(n + 1, 4 * n + 1)
-    result: Optional[HilbPoincare] = None
-    for m in range(n + 1):
-        hp = HilbPoincare(m, IntPoly(rows[m]))
-        if cache is not None and cache.get(m) is None:
+    euler = _euler_numbers(n)
+    for m, low in enumerate(_half_rows(n, _slot_width(euler[n]))):
+        full = low + low[-2::-1]
+        if sum(full) != euler[m]:
+            raise ValueError(
+                f"packed row {m} sums to {sum(full)}, not chi(Hilb^{m}) = "
+                f"{euler[m]}: slot width overflowed"
+            )
+        coeffs = [0] * (4 * m + 1)
+        coeffs[::2] = full
+        hp = HilbPoincare(m, IntPoly(coeffs))
+        if cache is not None and (m == n or cache.get(m) is None):
             cache.put(hp)
-        if m == n:
-            result = hp
-    assert result is not None
-    return result
+    return hp
 
 
 def stable_series(cap: int) -> TruncatedSeries:

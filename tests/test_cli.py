@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,8 +10,6 @@ from motivic_betti.hilb import HilbCache
 
 
 def run_cli(*args, env_extra=None, cwd=None):
-    import os
-
     env = dict(os.environ)
     env.pop("MOTIVIC_BETTI_CACHE", None)
     if env_extra:
@@ -67,6 +66,12 @@ class TestStableCommand:
         res = run_cli("stable", "--smax", "2", "--format", "csv")
         assert res.stdout.splitlines() == ["s,b2s", "0,1", "1,2", "2,6"]
 
+    def test_negative_smax_is_usage_error(self):
+        res = run_cli("stable", "--smax", "-3")
+        assert res.returncode == 2
+        assert "-3" in res.stderr
+        assert res.stdout == ""
+
 
 class TestGensCommand:
     def test_json(self):
@@ -105,6 +110,46 @@ class TestBettiCommand:
             )
             assert res.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_output_replaces_existing_file(self, cache_dir, tmp_path):
+        out, old = tmp_path / "table.json", tmp_path / "old.json"
+        stale = "stale contents, longer than the table\n" * 100
+        out.write_text(stale)
+        os.link(out, old)  # a reader holding the old file
+        res = run_cli(
+            "betti", "--d", "5", "--chi", "-6",
+            "--cache-dir", cache_dir, "--output", str(out),
+        )
+        assert res.returncode == 0
+        expected = render(m_betti_table(5, -6, HilbCache(cache_dir)), "json")
+        assert out.read_bytes() == expected.encode("utf-8")
+        # replaced by a rename, not truncated in place
+        assert old.read_text() == stale
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json", "table.json"]
+
+    def test_output_into_missing_directory(self, cache_dir, tmp_path):
+        out = tmp_path / "missing" / "table.json"
+        res = run_cli(
+            "betti", "--d", "5", "--chi", "-6",
+            "--cache-dir", cache_dir, "--output", str(out),
+        )
+        assert res.returncode == 1
+        assert str(out) in res.stderr
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_truncated_cache_row_is_recomputed(self, tmp_path):
+        cache = tmp_path / "cache"
+        assert run_cli("hilb", "--n", "5", "--cache-dir", str(cache)).returncode == 0
+        row = cache / "hilb_5.json"
+        good = row.read_bytes()
+        row.write_bytes(good[: len(good) // 2])
+        res = run_cli("betti", "--d", "5", "--chi", "-6", "--cache-dir", str(cache))
+        assert res.returncode == 0
+        expected = render(m_betti_table(5, -6, HilbCache()), "json")
+        assert res.stdout == expected
+        warnings = res.stderr.splitlines()
+        assert len(warnings) == 1 and "hilb_5.json" in warnings[0]
+        assert row.read_bytes() == good
 
     def test_non_coprime_is_usage_error(self, cache_dir):
         res = run_cli("betti", "--d", "5", "--chi", "5", "--cache-dir", cache_dir)

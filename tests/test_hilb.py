@@ -1,13 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motivic_betti import hilb
 from motivic_betti.hilb import (
     GENERATOR_TAG,
     HilbCache,
     HilbPoincare,
     colored_partition_euler,
-    goettsche_bivariate,
     hilb_poincare,
     stable_betti,
     stable_series,
@@ -23,36 +25,71 @@ COLORED_COUNTS = [1, 3, 9, 22, 51, 108, 221]
 STABLE = [1, 2, 6, 13, 29, 57, 113, 208, 381, 669]
 
 
+def partitions(total, largest=None):
+    """Every partition of ``total`` as a non-increasing tuple of parts."""
+    if largest is None:
+        largest = total
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part,) + rest
+
+
+def enumerated_row(n):
+    """The ``t^n`` row of Goettsche's product, one term per triple.
+
+    Expanding ``prod_k (1 - z^{2k-2} t^k)^{-1} (1 - z^{2k} t^k)^{-1}
+    (1 - z^{2k+2} t^k)^{-1}`` term by term, a triple of partitions
+    ``(alpha, beta, gamma)`` with ``|alpha| + |beta| + |gamma| = n``
+    contributes ``z^{2(|alpha| - l(alpha)) + 2|beta| + 2(|gamma| + l(gamma))}``.
+    """
+    coeffs = [0] * (4 * n + 1)
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            c = n - a - b
+            for alpha in partitions(a):
+                for beta in partitions(b):
+                    for gamma in partitions(c):
+                        exp = 2 * (a - len(alpha)) + 2 * b + 2 * (c + len(gamma))
+                        coeffs[exp] += 1
+    return coeffs
+
+
 class TestGoettscheBivariate:
+    """Rows of the bivariate product, as the packed kernel computes them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10))
+    def test_matches_partition_enumeration(self, n):
+        assert list(hilb_poincare(n).poly.coeffs) == enumerated_row(n)
+
     def test_t0_row_is_one(self):
-        g = goettsche_bivariate(4, 12)
-        assert g.row(0) == IntPoly.one()
-
-    def test_matches_generic_factor_product(self):
-        # same product assembled from explicit geometric factors through
-        # the generic bivariate multiplication, as a route check on the
-        # row recurrence
-        from motivic_betti.series import BivariateSeries, bivar_mul
-
-        tcap, zcap = 6, 21
-        acc = BivariateSeries.one(tcap, zcap)
-        for k in range(1, tcap):
-            for a in (2 * k - 2, 2 * k, 2 * k + 2):
-                rows = {}
-                m, e = 0, 0
-                while m < tcap:
-                    rows[m] = IntPoly.monomial(e) if e < zcap else IntPoly.zero()
-                    m, e = m + k, e + a
-                acc = bivar_mul(acc, BivariateSeries(rows, tcap, zcap))
-        assert acc == goettsche_bivariate(tcap, zcap)
+        assert hilb_poincare(0).poly == IntPoly.one()
 
     def test_t1_row_is_plane(self):
-        g = goettsche_bivariate(4, 12)
-        assert g.row(1) == IntPoly([1, 0, 1, 0, 1])
+        assert hilb_poincare(1).poly == IntPoly([1, 0, 1, 0, 1])
 
     def test_t2_row(self):
-        g = goettsche_bivariate(4, 12)
-        assert g.row(2) == IntPoly([1, 0, 2, 0, 3, 0, 2, 0, 1])
+        assert hilb_poincare(2).poly == IntPoly([1, 0, 2, 0, 3, 0, 2, 0, 1])
+
+    def test_oracle_rejects_perturbed_factor(self, monkeypatch):
+        # (k-1, k, k+2) in place of (k-1, k, k+1): the kernel's mirrored
+        # low halves must then disagree with the enumeration
+        monkeypatch.setattr(hilb, "FACTOR_OFFSETS", (-1, 0, 2))
+        n = 6
+        halves = hilb._half_rows(n, hilb._slot_width(colored_partition_euler(n)))
+        mirrored = [low + low[-2::-1] for low in halves]
+        assert any(
+            row != enumerated_row(m)[::2] for m, row in enumerate(mirrored)
+        )
+
+    def test_narrow_slots_raise(self, monkeypatch):
+        width = hilb._slot_width
+        monkeypatch.setattr(hilb, "_slot_width", lambda euler_n: width(euler_n) // 2)
+        with pytest.raises(ValueError, match="overflowed"):
+            hilb_poincare(40)
 
 
 class TestHilbPoincare:
@@ -159,3 +196,17 @@ class TestHilbCache:
         hp = hilb_poincare(3, cache)
         assert cache.get(3) == hp
         assert cache.path_for(3) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 3, "coeffs": ["1"', "[]", '{"n": 3, "version": 1}',
+         '{"n": 4, "coeffs": [], "version": 1}', '{"n": 3, "coeffs": ["1"], "version": 2}'],
+    )
+    def test_bad_file_is_a_miss_and_is_rewritten(self, tmp_path, capsys, text):
+        path = HilbCache(tmp_path).path_for(3)
+        path.write_text(text)
+        hp = hilb_poincare(3, HilbCache(tmp_path))
+        assert hp == hilb_poincare(3)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0]
+        assert HilbCache(tmp_path).get(3) == hp

@@ -9,11 +9,11 @@ Subcommands::
     relations  relation counts among the generators, degrees 0 .. d
     verify     replay the congruence chain; exit code reflects the outcome
 
-Exit codes: 0 on success, 1 on verification failure (or I/O trouble),
-2 on usage errors.  All integers in the output are decimal strings, so CI
-consumers never hit a width limit.  The Hilbert-row cache defaults to
-``./.hilb-cache``; override with ``--cache-dir`` or the
-``MOTIVIC_BETTI_CACHE`` environment variable.
+Exit codes: 0 on success, 1 on verification failure (or a failed internal
+check, or I/O trouble), 2 on usage errors.  All integers in the output
+are decimal strings, so CI consumers never hit a width limit.  The
+Hilbert-row cache defaults to ``./.hilb-cache``; override with
+``--cache-dir`` or the ``MOTIVIC_BETTI_CACHE`` environment variable.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ import sys
 from dataclasses import dataclass
 
 from .betti import emit, m_betti_table
-from .hilb import GENERATOR_TAG, HilbCache, hilb_poincare, stable_betti
+from .hilb import (
+    GENERATOR_TAG, ConsistencyError, HilbCache, hilb_poincare, stable_betti,
+)
 from .motivic import DEFAULT_CONSTANTS, verify_congruence_chain
-from .tautgen import a_coeff, generator_system, relation_count
+from .tautgen import generator_system, monomial_series
 
 DEFAULT_CACHE_DIR = ".hilb-cache"
 CACHE_ENV_VAR = "MOTIVIC_BETTI_CACHE"
@@ -159,7 +161,8 @@ def _cmd_stable(args) -> int:
 
 def _cmd_gens(args) -> int:
     system = generator_system(args.d)
-    counts = tuple(a_coeff(args.d, i) for i in range(args.d + 1))
+    series = monomial_series(args.d, 2 * args.d + 1)
+    counts = tuple(series.coeff(2 * i) for i in range(args.d + 1))
     _emit(args, GensOutput(args.d, dict(system.degrees), counts))
     return 0
 
@@ -171,10 +174,9 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    cache = _resolve_cache(args)
-    counts = tuple(
-        relation_count(args.d, args.chi, i, cache) for i in range(args.d + 1)
-    )
+    table = m_betti_table(args.d, args.chi, _resolve_cache(args))
+    series = monomial_series(args.d, 2 * args.d + 1)
+    counts = tuple(series.coeff(2 * i) - row.b2k for i, row in enumerate(table.rows))
     _emit(args, RelationsOutput(args.d, args.chi, counts))
     return 0
 
@@ -259,11 +261,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except OSError as exc:
+    except (ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

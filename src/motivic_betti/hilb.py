@@ -42,10 +42,18 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
-from .series import IntPoly, TruncatedSeries, geometric
+from .series import IntPoly, TruncatedSeries, geometric_product
 
 CACHE_FORMAT_VERSION = 1
 GENERATOR_TAG = "goettsche-p2-triple-product"
+
+
+class ConsistencyError(ValueError):
+    """A computed result failed an internal check.
+
+    This is a failure of the computation, not of its input, so the CLI
+    reports it in the failure class (exit 1), not the usage class.
+    """
 
 
 @dataclass(frozen=True)
@@ -178,17 +186,8 @@ FACTOR_OFFSETS = (-1, 0, 1)
 
 
 def _euler_numbers(n: int) -> list[int]:
-    """``chi(Hilb^m)`` for ``m <= n``: the coefficients of ``prod (1-t^k)^{-3}``.
-
-    Each factor ``(1 - t^k)^{-1}`` is the in-place stride recurrence
-    ``e[m] += e[m-k]`` taken in increasing ``m``.
-    """
-    e = [1] + [0] * n
-    for k in range(1, n + 1):
-        for _ in range(3):
-            for m in range(k, n + 1):
-                e[m] += e[m - k]
-    return e
+    """``chi(Hilb^m)`` for ``m <= n``: the coefficients of ``prod (1-t^k)^{-3}``."""
+    return geometric_product((k for k in range(1, n + 1) for _ in range(3)), n + 1)
 
 
 def _slot_width(euler_n: int) -> int:
@@ -248,7 +247,7 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
     for m, low in enumerate(_half_rows(n, _slot_width(euler[n]))):
         full = low + low[-2::-1]
         if sum(full) != euler[m]:
-            raise ValueError(
+            raise ConsistencyError(
                 f"packed row {m} sums to {sum(full)}, not chi(Hilb^{m}) = "
                 f"{euler[m]}: slot width overflowed"
             )
@@ -263,19 +262,15 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
 def stable_series(cap: int) -> TruncatedSeries:
     """Generating series of the stable Betti numbers, truncated at ``cap``.
 
-    ``R(z) = 1/(1-z^2)^2 * prod_{m >= 2} 1/(1-z^{2m})^3``; factors with
-    ``2m >= cap`` are identically 1 below the cap, so the product is
-    finite and exact.
+    ``R(z) = 1/(1-z^2)^2 * prod_{m >= 2} 1/(1-z^{2m})^3``, built by
+    :func:`~motivic_betti.series.geometric_product` with one stride pass per
+    factor.  Factors with ``2m >= cap`` are identically 1 below the cap, so
+    only the finitely many others are taken and the result is exact.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    acc = geometric(2, cap) * geometric(2, cap)
-    m = 2
-    while 2 * m < cap:
-        g = geometric(2 * m, cap)
-        acc = acc * g * g * g
-        m += 1
-    return acc
+    degrees = [2, 2] + [2 * m for m in range(2, (cap + 1) // 2) for _ in range(3)]
+    return TruncatedSeries(geometric_product(degrees, cap), cap)
 
 
 def stable_betti(s: int) -> int:

@@ -14,10 +14,13 @@ Grothendieck-ring classes) is built on three carriers:
 Truncation is exclusive: a cap of ``c`` keeps exponents ``0 .. c-1``.  All
 values are immutable after construction and safe to share across threads.
 
-Schoolbook convolution throughout; the caps in play stay in the low
-hundreds, where it is exact and fast enough.  The series that arise are
-dense in even exponents, so the dense representation wastes at most half
-the slots (a sparse map would be a possible later optimization).
+Products of two series are schoolbook convolutions; the caps in play stay
+in the low hundreds, where that is exact and fast enough.  The one-variable
+generating series downstream are products of geometric factors
+``1/(1 - z**deg)``, and :func:`geometric_product` builds those without any
+convolution: each factor is one in-place stride pass over the window.  The
+series that arise are dense in even exponents, so the dense representation
+wastes at most half the slots.
 """
 
 from __future__ import annotations
@@ -351,6 +354,25 @@ def geometric(deg: int, cap: int) -> TruncatedSeries:
     for e in range(0, cap, deg):
         out[e] = 1
     return TruncatedSeries(IntPoly(out), cap)
+
+
+def geometric_product(degrees: Iterable[int], cap: int) -> list[int]:
+    """Coefficients of ``z**0 .. z**(cap-1)`` in ``prod 1/(1 - z**deg)``.
+
+    One factor per entry of ``degrees``, so a repeated degree is a repeated
+    factor.  Multiplying by ``1/(1 - z**deg)`` is the in-place recurrence
+    ``out[e] += out[e - deg]`` taken in increasing ``e``, so each factor
+    costs one pass over the window rather than a convolution.
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    out = [1] + [0] * (cap - 1) if cap else []
+    for deg in degrees:
+        if deg <= 0:
+            raise ValueError(f"geometric factor needs deg >= 1, got {deg}")
+        for e in range(deg, cap):
+            out[e] += out[e - deg]
+    return out
 
 
 class BivariateSeries:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .hilb import HilbCache
-from .series import TruncatedSeries, geometric
+from .series import TruncatedSeries, geometric_product
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,18 @@ def generator_system(d: int) -> GeneratorSystem:
 def monomial_series(d: int, cap: int) -> TruncatedSeries:
     """Monomial-counting series of the generator system, truncated at ``cap``.
 
-    Product over generators of ``1/(1 - z^{2*degree})``; the coefficient of
-    ``z^{2i}`` counts the monomials of weighted degree ``i`` in the free
-    commutative monoid on the generators.
+    Product over generators of ``1/(1 - z^{2*degree})``, one stride pass of
+    :func:`~motivic_betti.series.geometric_product` per generator; the
+    coefficient of ``z^{2i}`` counts the monomials of weighted degree ``i``
+    in the free commutative monoid on the generators.  One series with
+    ``cap = 2d + 1`` holds every ``a_{2i}`` for ``i <= d``.
     """
-    system = generator_system(d)
-    acc = TruncatedSeries.one(cap)
-    for degree, multiplicity in sorted(system.degrees.items()):
-        factor = geometric(2 * degree, cap)
-        for _ in range(multiplicity):
-            acc = acc * factor
-    return acc
+    degrees = [
+        2 * degree
+        for degree, multiplicity in sorted(generator_system(d).degrees.items())
+        for _ in range(multiplicity)
+    ]
+    return TruncatedSeries(geometric_product(degrees, cap), cap)
 
 
 def monomial_count_bruteforce(degrees: Mapping[int, int], i: int) -> int:

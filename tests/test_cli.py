@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,8 +6,10 @@ import sys
 
 import pytest
 
+from motivic_betti import cli, hilb
 from motivic_betti.betti import m_betti_table, render
 from motivic_betti.hilb import HilbCache
+from motivic_betti.tautgen import a_coeff, relation_count
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -199,3 +202,61 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 2
+
+
+def cli_rows(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+class TestSingleSeriesRoute:
+    """``gens`` and ``relations`` read every row from one series; the
+    per-row library calls rebuild it for each row and must agree."""
+
+    @pytest.mark.parametrize("d", range(5, 13))
+    def test_gens_rows_match_a_coeff(self, capsys, d):
+        rows = cli_rows(capsys, "gens", "--d", str(d))
+        assert [r["a2i"] for r in rows] == [str(a_coeff(d, i)) for i in range(d + 1)]
+
+    @pytest.mark.parametrize(
+        "d,chi", [(d, chi) for d in range(5, 13) for chi in (1, -(d + 1))]
+    )
+    def test_relations_rows_match_relation_count(self, capsys, cache_dir, d, chi):
+        rows = cli_rows(
+            capsys, "relations", "--d", str(d), "--chi", str(chi), "--cache-dir", cache_dir
+        )
+        cache = HilbCache(cache_dir)
+        assert [r["relations"] for r in rows] == [
+            str(relation_count(d, chi, i, cache)) for i in range(d + 1)
+        ]
+
+
+# sha256 of stdout as the per-row convolution route printed it, so the
+# stride products and the single-series route must print the same bytes
+STDOUT_SHA256 = {
+    ("stable", "--smax", "40"):
+        "b66fb86aa5b8c200fc30f1352d327692c2fade25a25431f5ee92c11c3c600298",
+    ("stable", "--smax", "40", "--format", "csv"):
+        "2123ef152da16a7e6c10897413c64f3f37991c15f8ceb12d8a9c9378e57c9c59",
+    ("gens", "--d", "40"):
+        "8e2d24a4770e4e5d0b39f5e00739cb4b8b8f112912d24928ed4f3229f25003f5",
+    ("relations", "--d", "16", "--chi", "-17"):
+        "7d4f5124ab4721cd16c1a49ef464cfc83815be32e0585b7d5b9e41c12acaea27",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+def test_stdout_is_pinned(cache_dir, argv):
+    extra = ("--cache-dir", cache_dir) if argv[0] == "relations" else ()
+    res = run_cli(*argv, *extra)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_overflowed_kernel_is_a_failure_not_usage(monkeypatch, tmp_path, capsys):
+    width = hilb._slot_width
+    monkeypatch.setattr(hilb, "_slot_width", lambda euler_n: width(euler_n) // 2)
+    assert cli.main(["hilb", "--n", "40", "--cache-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: packed row ") and "overflowed" in err

@@ -14,7 +14,7 @@ from motivic_betti.hilb import (
     stable_betti,
     stable_series,
 )
-from motivic_betti.series import IntPoly
+from motivic_betti.series import IntPoly, geometric_product
 
 # z=1 values of the product rows, counted independently by enumerating
 # three-colored partitions (frozen from a standalone enumeration).
@@ -55,6 +55,16 @@ def enumerated_row(n):
                         exp = 2 * (a - len(alpha)) + 2 * b + 2 * (c + len(gamma))
                         coeffs[exp] += 1
     return coeffs
+
+
+def stable_row_mismatches(cache):
+    """``(n, s)`` with ``2s <= n <= 12`` where the row and stable value differ."""
+    return [
+        (n, s)
+        for n in range(13)
+        for s in range(n // 2 + 1)
+        if hilb_poincare(n, cache).betti(2 * s) != stable_betti(s)
+    ]
 
 
 class TestGoettscheBivariate:
@@ -145,11 +155,23 @@ class TestStableSeries:
         assert stable_betti(s) == value
 
     def test_stable_range_matches_rows(self):
+        assert stable_row_mismatches(HilbCache()) == []
+
+    @pytest.mark.parametrize("dropped", [2, 4, 12])
+    def test_row_check_catches_a_dropped_factor(self, monkeypatch, dropped):
+        # rows first, so the mutation reaches stable_series alone
         cache = HilbCache()
         for n in range(13):
-            hp = hilb_poincare(n, cache)
-            for s in range(n // 2 + 1):
-                assert hp.betti(2 * s) == stable_betti(s), (n, s)
+            hilb_poincare(n, cache)
+
+        def one_factor_short(degrees, cap):
+            degrees = list(degrees)
+            if dropped in degrees:
+                degrees.remove(dropped)
+            return geometric_product(degrees, cap)
+
+        monkeypatch.setattr(hilb, "geometric_product", one_factor_short)
+        assert stable_row_mismatches(cache) != []
 
     def test_monotone_stabilization(self):
         rows = [hilb_poincare(n) for n in range(13)]

@@ -12,6 +12,7 @@ from motivic_betti.series import (
     bivar_mul,
     coeff,
     geometric,
+    geometric_product,
     series_inverse,
     series_mul,
 )
@@ -110,6 +111,14 @@ class TestGeometric:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             geometric(0, 4)
+
+
+class TestGeometricProduct:
+    def test_bad_input(self):
+        with pytest.raises(ValueError):
+            geometric_product([2, 0], 4)
+        with pytest.raises(ValueError):
+            geometric_product([2], -1)
 
 
 class TestCoeff:
@@ -223,3 +232,16 @@ def test_truncation_coherence(pair, smaller):
 def test_geometric_matches_inverse(deg, cap):
     one_minus = S([1] + [0] * (deg - 1) + [-1], cap)
     assert geometric(deg, cap) == series_inverse(one_minus)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), max_size=12),
+    st.integers(min_value=0, max_value=60),
+)
+def test_geometric_product_matches_convolution(degrees, cap):
+    # oracle: the dense route, one TruncatedSeries product per factor
+    acc = TruncatedSeries.one(cap)
+    for deg in degrees:
+        acc = acc * geometric(deg, cap)
+    assert geometric_product(degrees, cap) == [acc.coeff(e) for e in range(cap)]

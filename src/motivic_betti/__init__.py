@@ -22,7 +22,6 @@ from .betti import (
     chi_normalize,
     emit,
     m_betti_table,
-    render,
 )
 from .hilb import (
     HilbCache,
@@ -35,29 +34,16 @@ from .hilb import (
 from .motivic import (
     ChainConstants,
     MotivicClass,
-    PvFraction,
     VerificationReport,
-    affine,
-    congruent_mod_dim,
     correction_polynomial,
-    gl,
-    hilb_class,
-    projective,
-    pv_degree,
     verify_congruence_chain,
     virtual_poincare,
 )
 from .series import (
-    BivariateSeries,
     CapMismatchError,
     IntPoly,
     OutOfWindowError,
     TruncatedSeries,
-    bivar_mul,
-    coeff,
-    geometric,
-    series_inverse,
-    series_mul,
 )
 from .tautgen import (
     GeneratorSystem,
@@ -73,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiRow",
     "BettiTable",
-    "BivariateSeries",
     "CapMismatchError",
     "ChainConstants",
     "GeneratorSystem",
@@ -82,32 +67,19 @@ __all__ = [
     "IntPoly",
     "MotivicClass",
     "OutOfWindowError",
-    "PvFraction",
     "TruncatedSeries",
     "VerificationReport",
     "a_coeff",
-    "affine",
-    "bivar_mul",
     "chi_normalize",
-    "coeff",
     "colored_partition_euler",
-    "congruent_mod_dim",
     "correction_polynomial",
     "emit",
     "generator_system",
-    "geometric",
-    "gl",
-    "hilb_class",
     "hilb_poincare",
     "m_betti_table",
     "monomial_count_bruteforce",
     "monomial_series",
-    "projective",
-    "pv_degree",
     "relation_count",
-    "render",
-    "series_inverse",
-    "series_mul",
     "stable_betti",
     "stable_series",
     "verify_congruence_chain",

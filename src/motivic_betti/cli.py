@@ -42,92 +42,29 @@ MUTATION_FLAGS = {
 
 
 @dataclass(frozen=True)
-class HilbOutput:
-    n: int
-    coeffs: tuple[int, ...]
+class _Output:
+    """A subcommand's result as the JSON object and CSV table that
+    :func:`betti.render` reads."""
+
+    json_obj: dict
+    header: list[str]
+    rows: list[list[str]]
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": str(self.n),
-            "coeffs": [str(c) for c in self.coeffs],
-            "generator": GENERATOR_TAG,
-            "version": "1",
-        }
+        return self.json_obj
 
     def csv_header(self) -> list[str]:
-        return ["k", "b2k"]
+        return self.header
 
     def csv_rows(self) -> list[list[str]]:
-        return [
-            [str(k), str(self.coeffs[2 * k] if 2 * k < len(self.coeffs) else 0)]
-            for k in range(2 * self.n + 1)
-        ]
+        return self.rows
 
 
-@dataclass(frozen=True)
-class StableOutput:
-    smax: int
-    values: tuple[int, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "smax": str(self.smax),
-            "rows": [
-                {"s": str(s), "b2s": str(v)} for s, v in enumerate(self.values)
-            ],
-        }
-
-    def csv_header(self) -> list[str]:
-        return ["s", "b2s"]
-
-    def csv_rows(self) -> list[list[str]]:
-        return [[str(s), str(v)] for s, v in enumerate(self.values)]
-
-
-@dataclass(frozen=True)
-class GensOutput:
-    d: int
-    degrees: dict[int, int]
-    counts: tuple[int, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "d": str(self.d),
-            "generator_count": str(sum(self.degrees.values())),
-            "degrees": {str(k): str(v) for k, v in sorted(self.degrees.items())},
-            "rows": [
-                {"i": str(i), "a2i": str(v)} for i, v in enumerate(self.counts)
-            ],
-        }
-
-    def csv_header(self) -> list[str]:
-        return ["i", "a2i"]
-
-    def csv_rows(self) -> list[list[str]]:
-        return [[str(i), str(v)] for i, v in enumerate(self.counts)]
-
-
-@dataclass(frozen=True)
-class RelationsOutput:
-    d: int
-    chi: int
-    counts: tuple[int, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "d": str(self.d),
-            "chi": str(self.chi),
-            "rows": [
-                {"i": str(i), "relations": str(v)}
-                for i, v in enumerate(self.counts)
-            ],
-        }
-
-    def csv_header(self) -> list[str]:
-        return ["i", "relations"]
-
-    def csv_rows(self) -> list[list[str]]:
-        return [[str(i), str(v)] for i, v in enumerate(self.counts)]
+def _keyed_rows(head: dict, key: str, name: str, values) -> _Output:
+    """``head`` plus one ``{key: i, name: value}`` row per value."""
+    rows = [[str(i), str(v)] for i, v in enumerate(values)]
+    obj = dict(head, rows=[{key: i, name: v} for i, v in rows])
+    return _Output(obj, [key, name], rows)
 
 
 def _resolve_cache(args) -> HilbCache:
@@ -146,24 +83,36 @@ def _emit(args, obj) -> None:
 
 def _cmd_hilb(args) -> int:
     hp = hilb_poincare(args.n, _resolve_cache(args))
-    coeffs = tuple(hp.poly[i] for i in range(4 * args.n + 1))
-    _emit(args, HilbOutput(args.n, coeffs))
+    coeffs = [str(hp.poly[i]) for i in range(4 * args.n + 1)]
+    obj = {
+        "n": str(args.n),
+        "coeffs": coeffs,
+        "generator": GENERATOR_TAG,
+        "version": "1",
+    }
+    rows = [[str(k), coeffs[2 * k]] for k in range(2 * args.n + 1)]
+    _emit(args, _Output(obj, ["k", "b2k"], rows))
     return 0
 
 
 def _cmd_stable(args) -> int:
     if args.smax < 0:
         raise ValueError(f"--smax must be >= 0, got {args.smax}")
-    values = tuple(stable_betti(s) for s in range(args.smax + 1))
-    _emit(args, StableOutput(args.smax, values))
+    values = [stable_betti(s) for s in range(args.smax + 1)]
+    _emit(args, _keyed_rows({"smax": str(args.smax)}, "s", "b2s", values))
     return 0
 
 
 def _cmd_gens(args) -> int:
     system = generator_system(args.d)
     series = monomial_series(args.d, 2 * args.d + 1)
-    counts = tuple(series.coeff(2 * i) for i in range(args.d + 1))
-    _emit(args, GensOutput(args.d, dict(system.degrees), counts))
+    counts = [series.coeff(2 * i) for i in range(args.d + 1)]
+    head = {
+        "d": str(args.d),
+        "generator_count": str(sum(system.degrees.values())),
+        "degrees": {str(k): str(v) for k, v in sorted(system.degrees.items())},
+    }
+    _emit(args, _keyed_rows(head, "i", "a2i", counts))
     return 0
 
 
@@ -176,8 +125,9 @@ def _cmd_betti(args) -> int:
 def _cmd_relations(args) -> int:
     table = m_betti_table(args.d, args.chi, _resolve_cache(args))
     series = monomial_series(args.d, 2 * args.d + 1)
-    counts = tuple(series.coeff(2 * i) - row.b2k for i, row in enumerate(table.rows))
-    _emit(args, RelationsOutput(args.d, args.chi, counts))
+    counts = [series.coeff(2 * i) - row.b2k for i, row in enumerate(table.rows)]
+    head = {"d": str(args.d), "chi": str(args.chi)}
+    _emit(args, _keyed_rows(head, "i", "relations", counts))
     return 0
 
 

@@ -170,16 +170,6 @@ def projective(n: int) -> MotivicClass:
     return MotivicClass(IntPoly([-1] + [0] * n + [1]), den=(1,))
 
 
-def gl(n: int) -> MotivicClass:
-    """``[GL_n] = prod_{k=0}^{n-1} (L**n - L**k)``, expanded."""
-    if n < 1:
-        raise ValueError(f"GL_n needs n >= 1, got {n}")
-    acc = IntPoly.one()
-    for k in range(n):
-        acc = acc * (IntPoly.monomial(n) - IntPoly.monomial(k))
-    return MotivicClass(acc)
-
-
 def hilb_class(n: int, cache: Optional[HilbCache] = None) -> MotivicClass:
     """The class of ``Hilb^n(P^2)`` as a polynomial in ``L``.
 

@@ -1,15 +1,12 @@
 """Exact truncated power-series arithmetic over arbitrary-precision integers.
 
 Everything downstream (Hilbert-scheme generating series, monomial counting,
-Grothendieck-ring classes) is built on three carriers:
+Grothendieck-ring classes) is built on two carriers:
 
 * :class:`IntPoly` -- a dense polynomial in one formal variable with Python
   ``int`` coefficients, so no coefficient ever overflows.
 * :class:`TruncatedSeries` -- an :class:`IntPoly` together with a truncation
   cap; exponents at or above the cap are discarded by every operation.
-* :class:`BivariateSeries` -- a series in two variables, stored as a map
-  from the second variable's exponent to an :class:`IntPoly` row, with
-  independent caps in each variable.
 
 Truncation is exclusive: a cap of ``c`` keeps exponents ``0 .. c-1``.  All
 values are immutable after construction and safe to share across threads.
@@ -25,7 +22,7 @@ wastes at most half the slots.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -135,24 +132,6 @@ class IntPoly:
 
     def __rmul__(self, other: int) -> IntPoly:
         return self * other
-
-    def __pow__(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> IntPoly:
-        """Multiply by ``var**k`` (``k >= 0``)."""
-        if k < 0:
-            raise ValueError(f"shift must be >= 0, got {k}")
-        return IntPoly((0,) * k + self.coeffs)
 
     def truncate(self, cap: int) -> IntPoly:
         """Drop exponents at or above ``cap``."""
@@ -317,9 +296,8 @@ class TruncatedSeries:
         for n in range(1, self.cap):
             acc = 0
             for k in range(1, min(n, len(a) - 1) + 1):
-                ak = a[k] if k < len(a) else 0
-                if ak:
-                    acc += ak * out[n - k]
+                if a[k]:
+                    acc += a[k] * out[n - k]
             out[n] = -a0 * acc
         return TruncatedSeries(IntPoly(out), self.cap)
 
@@ -328,19 +306,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.poly.coeffs)!r}, cap={self.cap})"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-exact product truncated at the common cap."""
-    return a * b
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()
 
 
 def geometric(deg: int, cap: int) -> TruncatedSeries:
@@ -374,113 +339,3 @@ def geometric_product(degrees: Iterable[int], cap: int) -> list[int]:
             out[e] += out[e - deg]
     return out
 
-
-class BivariateSeries:
-    """Series in ``z`` and ``t``, truncated independently in each variable.
-
-    Stored as a map from ``t``-exponent (below ``tcap``) to an
-    :class:`IntPoly` row in ``z`` (degree below ``zcap``); absent rows are
-    zero.
-    """
-
-    __slots__ = ("rows", "tcap", "zcap")
-
-    def __init__(self, rows: Mapping[int, IntPoly], tcap: int, zcap: int):
-        if tcap < 0 or zcap < 0:
-            raise ValueError(f"caps must be >= 0, got ({tcap}, {zcap})")
-        clean: dict[int, IntPoly] = {}
-        for texp, poly in rows.items():
-            if not 0 <= texp < tcap:
-                continue
-            p = poly.truncate(zcap)
-            if not p.is_zero:
-                clean[texp] = p
-        object.__setattr__(self, "rows", clean)
-        object.__setattr__(self, "tcap", tcap)
-        object.__setattr__(self, "zcap", zcap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariateSeries is immutable")
-
-    @classmethod
-    def one(cls, tcap: int, zcap: int) -> BivariateSeries:
-        return cls({0: IntPoly.one()}, tcap, zcap)
-
-    def _check_caps(self, other: BivariateSeries) -> None:
-        if (self.tcap, self.zcap) != (other.tcap, other.zcap):
-            raise CapMismatchError(
-                f"caps differ: ({self.tcap}, {self.zcap}) vs "
-                f"({other.tcap}, {other.zcap})"
-            )
-
-    def row(self, texp: int) -> IntPoly:
-        """The ``z``-polynomial multiplying ``t**texp``."""
-        if texp >= self.tcap:
-            raise OutOfWindowError(
-                f"t-exponent {texp} is outside the window (tcap {self.tcap})"
-            )
-        return self.rows.get(texp, IntPoly.zero())
-
-    def coeff(self, texp: int, zexp: int) -> int:
-        if zexp >= self.zcap:
-            raise OutOfWindowError(
-                f"z-exponent {zexp} is outside the window (zcap {self.zcap})"
-            )
-        return self.row(texp)[zexp]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return (
-            self.tcap == other.tcap
-            and self.zcap == other.zcap
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.rows.items()), self.tcap, self.zcap))
-
-    def __add__(self, other: BivariateSeries) -> BivariateSeries:
-        self._check_caps(other)
-        out = dict(self.rows)
-        for texp, poly in other.rows.items():
-            out[texp] = out.get(texp, IntPoly.zero()) + poly
-        return BivariateSeries(out, self.tcap, self.zcap)
-
-    def __mul__(self, other: BivariateSeries) -> BivariateSeries:
-        self._check_caps(other)
-        out: dict[int, IntPoly] = {}
-        for ta, pa in self.rows.items():
-            for tb, pb in other.rows.items():
-                t = ta + tb
-                if t >= self.tcap:
-                    continue
-                prod = (pa * pb).truncate(self.zcap)
-                if prod.is_zero:
-                    continue
-                out[t] = out.get(t, IntPoly.zero()) + prod
-        return BivariateSeries(out, self.tcap, self.zcap)
-
-
-def bivar_mul(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    """Exact product truncated in both variables independently."""
-    return a * b
-
-
-def coeff(obj, exponents) -> int:
-    """Exact coefficient of ``obj`` at ``exponents``.
-
-    ``exponents`` is a single exponent for :class:`IntPoly` and
-    :class:`TruncatedSeries`, or a ``(t, z)`` pair for
-    :class:`BivariateSeries`.  Requests outside a truncation window raise
-    :class:`OutOfWindowError`; an :class:`IntPoly` has no window and
-    returns 0 beyond its degree.
-    """
-    if isinstance(obj, IntPoly):
-        return obj[exponents]
-    if isinstance(obj, TruncatedSeries):
-        return obj.coeff(exponents)
-    if isinstance(obj, BivariateSeries):
-        texp, zexp = exponents
-        return obj.coeff(texp, zexp)
-    raise TypeError(f"no coefficients in {type(obj).__name__}")

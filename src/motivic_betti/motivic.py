@@ -5,9 +5,10 @@ Lefschetz class ``L`` (the affine line) and at every ``L^i - 1``; that
 localization is where quotient-stack classes such as ``[X]/[GL_n]`` make
 sense.  A :class:`MotivicClass` is a fraction
 
-    num(L) * L^(-lshift) / prod_i (L^i - 1),
+    num(L) * L^(-lshift) / prod_i (L^i - 1),   lshift >= 0,
 
-stored unreduced; equality is decided by cross-multiplication, so no
+stored unreduced (a negative ``lshift`` is folded into ``num`` when the
+class is built); equality is decided by cross-multiplication, so no
 polynomial gcd is ever needed.
 
 The virtual Poincare specialization sends ``L`` to ``z**2`` and is a ring
@@ -50,7 +51,8 @@ class MotivicClass:
     ``num`` is an integer polynomial in the Lefschetz class, ``lshift``
     a global factor ``L**(-lshift)``, and ``den`` a multiset of positive
     integers, each entry ``i`` standing for one denominator factor
-    ``L**i - 1``.
+    ``L**i - 1``.  The constructor folds a negative ``lshift`` into
+    ``num``, so ``lshift >= 0`` always holds.
     """
 
     __slots__ = ("num", "lshift", "den")
@@ -65,6 +67,8 @@ class MotivicClass:
             num = IntPoly([num])
         if any(i < 1 for i in den):
             raise ValueError(f"denominator entries must be >= 1, got {den}")
+        if lshift < 0:
+            num, lshift = num * IntPoly.monomial(-lshift), 0
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "lshift", lshift)
         object.__setattr__(self, "den", tuple(sorted(den)))
@@ -78,28 +82,10 @@ class MotivicClass:
         # a localization of a polynomial ring over Z, hence a domain
         return self.num.is_zero
 
-    @property
-    def lshift_pos(self) -> int:
-        # normalized view: negative shifts are folded into the numerator
-        return max(self.lshift, 0)
-
-    def _normalized_num(self) -> IntPoly:
-        if self.lshift < 0:
-            return self.num * IntPoly.monomial(-self.lshift)
-        return self.num
-
     def __add__(self, other: MotivicClass) -> MotivicClass:
-        num = (
-            self._normalized_num()
-            * _den_poly(other.den)
-            * IntPoly.monomial(other.lshift_pos)
-            + other._normalized_num()
-            * _den_poly(self.den)
-            * IntPoly.monomial(self.lshift_pos)
-        )
-        return MotivicClass(
-            num, self.lshift_pos + other.lshift_pos, self.den + other.den
-        )
+        a = self.num * _den_poly(other.den) * IntPoly.monomial(other.lshift)
+        b = other.num * _den_poly(self.den) * IntPoly.monomial(self.lshift)
+        return MotivicClass(a + b, self.lshift + other.lshift, self.den + other.den)
 
     def __neg__(self) -> MotivicClass:
         return MotivicClass(-self.num, self.lshift, self.den)
@@ -129,14 +115,7 @@ class MotivicClass:
         """Equality of the underlying classes, by cross-multiplication."""
         if not isinstance(other, MotivicClass):
             return NotImplemented
-        a = self._normalized_num() * _den_poly(other.den)
-        b = other._normalized_num() * _den_poly(self.den)
-        sa, sb = self.lshift_pos, other.lshift_pos
-        if sa > sb:
-            b = b * IntPoly.monomial(sa - sb)
-        elif sb > sa:
-            a = a * IntPoly.monomial(sb - sa)
-        return a == b
+        return (self - other).is_zero
 
     __hash__ = None  # unreduced representations of equal classes differ
 
@@ -158,8 +137,6 @@ class MotivicClass:
 
 def affine(n: int) -> MotivicClass:
     """``L**n``, the class of affine ``n``-space (negative ``n`` allowed)."""
-    if n >= 0:
-        return MotivicClass(IntPoly.monomial(n))
     return MotivicClass(IntPoly.one(), lshift=-n)
 
 
@@ -232,16 +209,10 @@ def virtual_poincare(c: MotivicClass) -> PvFraction:
 
     The mixed Hodge polynomial of ``L`` is ``x*y*t**2``, so the virtual
     Poincare measure sends ``L`` to ``z**2``; an ``lshift`` contributes
-    ``z**(-2*lshift)``, folded into whichever side keeps both parts
-    polynomial.
+    ``z**(-2*lshift)``, a factor of the denominator.
     """
-    num = c.num.substitute_power(2)
-    den = _den_poly(c.den).substitute_power(2)
-    if c.lshift > 0:
-        den = den * IntPoly.monomial(2 * c.lshift)
-    elif c.lshift < 0:
-        num = num * IntPoly.monomial(-2 * c.lshift)
-    return PvFraction(num, den)
+    den = _den_poly(c.den).substitute_power(2) * IntPoly.monomial(2 * c.lshift)
+    return PvFraction(c.num.substitute_power(2), den)
 
 
 def pv_degree(c: MotivicClass) -> Degree:
@@ -258,10 +229,7 @@ def congruent_mod_dim(a: MotivicClass, b: MotivicClass, m: int) -> bool:
     needed to read Betti numbers above the cutoff -- not a geometric
     certificate of it.
     """
-    diff = a - b
-    if diff.is_zero:
-        return True
-    return pv_degree(diff) <= 2 * m
+    return pv_degree(a - b) <= 2 * m
 
 
 @dataclass(frozen=True)
@@ -334,6 +302,29 @@ class VerificationReport:
         ]
 
 
+def _chain_classes(
+    d: int, cache: Optional[HilbCache], multiplier: int
+) -> tuple[MotivicClass, MotivicClass]:
+    """``X = [P^2][Hilb^n1]``, ``n1 = (d-1)(d-2)/2 + 1``, and the correction
+    class ``multiplier * [P^(2d-4)] X``."""
+    x = projective(2) * hilb_class((d - 1) * (d - 2) // 2 + 1, cache)
+    return x, multiplier * (projective(2 * d - 4) * x)
+
+
+def _congruence(
+    name: str, lhs: MotivicClass, rhs: MotivicClass, m: int, exact: bool = True
+) -> CheckResult:
+    """A chain step: ``lhs`` is congruent to ``rhs`` below dimension ``m``,
+    and ``exact``, the identity the step also relies on, holds."""
+    return CheckResult(
+        name=name,
+        passed=exact and congruent_mod_dim(lhs, rhs, m),
+        lhs_pv=str(virtual_poincare(lhs)),
+        rhs_pv=str(virtual_poincare(rhs)),
+        bound=2 * m,
+    )
+
+
 def correction_polynomial(
     d: int,
     cache: Optional[HilbCache] = None,
@@ -346,9 +337,7 @@ def correction_polynomial(
     coefficients of the result are the corrections applied to the last two
     rows of the Betti table.
     """
-    n1 = (d - 1) * (d - 2) // 2 + 1
-    cls = multiplier * (projective(2 * d - 4) * projective(2) * hilb_class(n1, cache))
-    return virtual_poincare(cls).as_polynomial()
+    return virtual_poincare(_chain_classes(d, cache, multiplier)[1]).as_polynomial()
 
 
 def verify_congruence_chain(
@@ -378,69 +367,39 @@ def verify_congruence_chain(
     if d < 5:
         raise ValueError(f"the chain needs d >= 5, got {d}")
     c = constants
-    n1 = (d - 1) * (d - 2) // 2 + 1
-    x = projective(2) * hilb_class(n1, cache)
-    checks = []
+    x, corr = _chain_classes(d, cache, c.multiplier)
+    lx3 = affine(2 * d - 3) * x
+    lx2 = affine(2 * d - 2) * x
 
     # step 1: the three-term sum collapses
-    lhs1 = (
-        affine(2 * d - 3) * x
-        + (c.double_coeff * (affine(2 * d - 2) * x)).div(1)
-        + (affine(2 * d - 3) * x).div(1)
-    )
-    rhs1 = (c.multiplier * (affine(2 * d - 2) * x)).div(1)
-    m1 = d * d + 1 - d
-    checks.append(
-        CheckResult(
-            name="collapse_sum",
-            passed=congruent_mod_dim(lhs1, rhs1, m1),
-            lhs_pv=str(virtual_poincare(lhs1)),
-            rhs_pv=str(virtual_poincare(rhs1)),
-            bound=2 * m1,
-        )
-    )
+    lhs1 = lx3 + (c.double_coeff * lx2).div(1) + lx3.div(1)
+    rhs1 = (c.multiplier * lx2).div(1)
+    collapse = _congruence("collapse_sum", lhs1, rhs1, d * d + 1 - d)
 
     # step 2: drop one power of L and close up the denominator
-    lhs2 = (c.multiplier * (affine(2 * d - 3) * x)).div(1)
-    mid2 = (
-        c.multiplier * (MotivicClass(IntPoly([-1] + [0] * (2 * d - 4) + [1])) * x)
-    ).div(1)
-    rhs2 = c.multiplier * (projective(2 * d - 4) * x)
-    m2 = d * d - d
-    checks.append(
-        CheckResult(
-            name="close_up",
-            passed=(mid2 == rhs2) and congruent_mod_dim(lhs2, rhs2, m2),
-            lhs_pv=str(virtual_poincare(lhs2)),
-            rhs_pv=str(virtual_poincare(rhs2)),
-            bound=2 * m2,
-        )
-    )
+    closed = (c.multiplier * ((affine(2 * d - 3) - MotivicClass(1)) * x)).div(1)
+    lhs2 = (c.multiplier * lx3).div(1)
+    close_up = _congruence("close_up", lhs2, corr, d * d - d, exact=closed == corr)
 
     # step 3: the correction polynomial and its top two coefficients
     top_deg = 2 * (d * d - d + 2)
-    frac = virtual_poincare(rhs2)
     try:
-        poly = frac.as_polynomial()
+        poly = virtual_poincare(corr).as_polynomial()
     except ValueError:
         poly = None
-    passed3 = (
-        poly is not None
-        and poly.degree == top_deg
-        and poly[top_deg] == c.expected_top
-        and poly[top_deg - 2] == c.expected_subtop
+    extract = CheckResult(
+        name="extract_corrections",
+        passed=(
+            poly is not None
+            and poly.degree == top_deg
+            and poly[top_deg] == c.expected_top
+            and poly[top_deg - 2] == c.expected_subtop
+        ),
+        lhs_pv=str(poly) if poly is not None else "division not exact",
+        rhs_pv=(
+            f"{c.expected_top}*z^{top_deg} + "
+            f"{c.expected_subtop}*z^{top_deg - 2} + lower order"
+        ),
+        bound=top_deg,
     )
-    checks.append(
-        CheckResult(
-            name="extract_corrections",
-            passed=passed3,
-            lhs_pv=str(poly) if poly is not None else "division not exact",
-            rhs_pv=(
-                f"{c.expected_top}*z^{top_deg} + "
-                f"{c.expected_subtop}*z^{top_deg - 2} + lower order"
-            ),
-            bound=top_deg,
-        )
-    )
-
-    return VerificationReport(d, tuple(checks))
+    return VerificationReport(d, (collapse, close_up, extract))

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .betti import m_betti_table
 from .hilb import HilbCache
 from .series import TruncatedSeries, geometric_product
 
@@ -124,9 +125,13 @@ def relation_count(
 
     ``a_{2i}`` minus the moduli Betti number ``b_{2i}``; the Betti table
     stops at ``i = d``, so larger degrees raise rather than guess.
-    """
-    from .betti import m_betti_table
 
+    Each call builds the whole Betti table, which runs the Hilbert-scheme
+    kernel unless ``cache`` holds the row, and a fresh monomial series.  A
+    caller that wants every degree should build ``m_betti_table(d, chi)``
+    and ``monomial_series(d, 2 * d + 1)`` once and subtract row by row, as
+    the ``relations`` subcommand does.
+    """
     if i < 0:
         raise ValueError(f"degree must be >= 0, got {i}")
     if i > d:

@@ -1,11 +1,32 @@
 """The package's public surface: ``motivic_betti.__all__``."""
 
 import ast
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import motivic_betti
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+
+# sha256 of each demo's stdout, taken before motivic.py folded L^(-k) into
+# the numerator and built the congruence chain's classes once
+DEMO_STDOUT_SHA256 = {
+    "01_hilbert_scheme_tables.py":
+        "7b421def4d1ed187473f018e4d978ee3281918de357968aaa13be74c1309ed54",
+    "02_stable_range.py":
+        "f02ba13077ea3755d3a97e68ceb07322f1891b28e9d933ced13f1ae971fe3f5a",
+    "03_generators_and_relations.py":
+        "9f7584eb44b46bd5ca250ae6affc76ebb998b94fc6c846f740ec0d6c298a9bad",
+    "04_moduli_betti_tables.py":
+        "74e627a87da8b17212eb14a6b3e2b6fb55edd0d0f80545734d5a4405fc916482",
+    "05_congruence_audit.py":
+        "29140fab351e56a3d76afdd22197a702a44c663c30524f7bc44c12f1438822b2",
+}
 
 
 def demo_imports(path):
@@ -40,3 +61,20 @@ def test_demo_imports_are_public():
     for demo in DEMOS:
         missing = demo_imports(demo) - set(motivic_betti.__all__)
         assert not missing, (demo.name, sorted(missing))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_stdout_is_pinned(demo, tmp_path):
+    # run from an empty directory, importing the package under test
+    src = str(Path(motivic_betti.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert res.returncode == 0, res.stderr
+    digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+    assert digest == DEMO_STDOUT_SHA256[demo.name]

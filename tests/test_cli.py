@@ -237,7 +237,9 @@ class TestSingleSeriesRoute:
 # route, the shared output record and the one table-built parser in cli.py
 # replaced the code behind it; the hilb and csv cases cover the record's JSON
 # objects, headers and rows, and the betti, verify and --help cases what the
-# parser and the single emit in main could change
+# parser and the single emit in main could change; verify --d 16 was taken
+# before motivic.py folded L^(-k) into the numerator and built the chain's
+# classes once
 STDOUT_SHA256 = {
     ("gens", "--d", "40"):
         "8e2d24a4770e4e5d0b39f5e00739cb4b8b8f112912d24928ed4f3229f25003f5",
@@ -263,6 +265,8 @@ STDOUT_SHA256 = {
         "ee34fae27138cbca5da121f48e5438119ba67b559f22e5dbb1659a1258c59a4c",
     ("verify", "--d", "6", "--format", "csv"):
         "16660bdae7162d9aea309dacea1e46fbb100dd1228d4a0c53751a5c6b3b4657e",
+    ("verify", "--d", "16"):
+        "70cfafc070863462b8728f3dfb3ae2ad30180293e6c6fd14cbf15207e42ea6f0",
     ("--help",):
         "49356f4d060940810628b13a3d3f6eccb45e9893ed42aef32f25194d4f529bc1",
 }
@@ -285,10 +289,18 @@ def test_stdout_is_pinned(cache_dir, argv):
 USAGE = "usage: motivic-betti [-h] {hilb,stable,gens,betti,relations,verify} ...\n"
 
 # exit code, stdout sha256 and stderr of the runs that do not exit 0, taken
-# before cli.py built one parser from a table of its subcommands
+# before cli.py built one parser from a table of its subcommands; the other
+# three mutations, which fail collapse_sum or extract_corrections by other
+# branches than top does, before motivic.py built the chain's classes once
 EXIT_PINS = {
     ("verify", "--d", "6", "--mutate", "top"): (
         1, "963fa3772f3602abfb77161026bec9ea2f9c3c33738ef9673e0de2e26d9bcc6e", ""),
+    ("verify", "--d", "6", "--mutate", "multiplier"): (
+        1, "6c99e7237c75265f4c2ea3c8cc5724c6e8a04e62d511974209b3e0eef24337f2", ""),
+    ("verify", "--d", "6", "--mutate", "double-coeff"): (
+        1, "dfc037aaa125398a82ec38fa9469d701c2969d2b90c15e6a00d1d8b4ed3327b0", ""),
+    ("verify", "--d", "6", "--mutate", "subtop"): (
+        1, "5f40123033f06476773cbcc50676efbbb25d1ee9cb59fa45d965c4fe2e13d43a", ""),
     ("betti", "--d", "5"): (2, sha256(""), (
         "usage: motivic-betti betti [-h] --d D --chi CHI [--format {json,csv}]\n"
         "                           [--output PATH] [--cache-dir PATH]\n"

@@ -139,6 +139,18 @@ classes = st.builds(
 )
 
 
+@given(classes)
+def test_lshift_is_never_negative(c):
+    assert c.lshift >= 0
+
+
+@given(polys, st.integers(1, 3), dens)
+def test_negative_lshift_folds_into_numerator(num, k, den):
+    folded = MotivicClass(num, -k, den)
+    direct = MotivicClass(num * IntPoly.monomial(k), 0, den)
+    assert (folded.num, folded.lshift, folded.den) == (direct.num, 0, direct.den)
+
+
 def _same_class_variant(c, j, k):
     """A different representation of the same class."""
     scaled = MotivicClass(
@@ -206,6 +218,11 @@ class TestCongruenceChain:
         assert poly.degree == 44
         assert poly[44] == 3
         assert poly[42] == 12
+
+    @pytest.mark.parametrize("d", range(5, 10))
+    def test_correction_polynomial_is_step_three(self, cache, d):
+        report = verify_congruence_chain(d, cache)
+        assert str(correction_polynomial(d, cache)) == report.checks[2].lhs_pv
 
     def test_d5_close_up_degree_bound(self, cache):
         # the difference across the close_up step has pv degree <= 2(d^2-d)

@@ -1,35 +1,40 @@
 """Poincare polynomials of Hilbert schemes of points on the plane.
 
-Goettsche's formula packages the Betti numbers of all the punctual Hilbert
-schemes ``Hilb^n(P^2)`` into one product of geometric series,
+Goettsche's formula (Math. Ann. 286, 1990) packages the Betti numbers of
+all the punctual Hilbert schemes ``Hilb^n(P^2)`` into one product,
 
     prod_{k >= 1} (1 - z^{2k-2} t^k)^{-1} (1 - z^{2k} t^k)^{-1}
                   (1 - z^{2k+2} t^k)^{-1},
 
 where the coefficient of ``z^i t^n`` is ``b_i(Hilb^n)``.  Odd-degree Betti
-numbers vanish and each ``Hilb^n`` is smooth projective of dimension
-``2n``, so the ``t^n`` row is a palindromic polynomial of degree ``4n``.
+numbers vanish and ``Hilb^n`` is smooth projective of dimension ``2n``, so
+the ``t^n`` row is a palindromic polynomial ``P_n(w)`` of degree ``2n`` in
+``w = z^2``.  Neither kernel expands the product: each divides by a sparse
+theta series (Hardy & Wright, ch. XIX), writing ``T_m = m(m+1)/2``.
 
-The rows come from one kernel that works in ``w = z^2`` on the low half of
-each row.  Row ``m`` is palindromic of degree ``2m`` in ``w``, so for
-``m <= n`` the coefficients of ``w^0 .. w^n`` hold its low half; one run
-yields every row ``0 .. n``.  Each row is packed into a single int, a
-fixed number of bits per coefficient (Kronecker substitution), and each
-geometric factor becomes one shift-add per row.  The slot width comes from
-the Euler number ``chi(Hilb^n)``, which bounds every coefficient, and each
-unpacked row must sum to its Euler number, so an overflow cannot pass
-silently.
+Jacobi's triple product turns the product into a recurrence of about
+``2 sqrt(2N)`` terms for row ``N``, so one run yields every row ``0 .. n``:
+
+    P_N(w) (w - 1) = sum_{m >= 1, T_m <= N} (-1)^{m+1}
+                     (w^{T_m+m+1} - w^{T_m-m}) P_{N-T_m}(w),   P_0 = 1.
+
+Rows are packed into ints at ``w = 2^W`` (Kronecker substitution), so a
+term is two shifts and the division is one exact ``divmod`` by ``2^W - 1``.
+The slot width comes from the Euler number ``chi(Hilb^n)``, which bounds
+every coefficient, and each unpacked row must sum to its Euler number, so
+an overflow cannot pass silently.
 
 The low half of each row stabilizes: ``b_{2s}(Hilb^n)`` is independent of
-``n`` once ``2s <= n``, and the stable values are generated by
+``n`` once ``2s <= n``.  In ``q = z^2`` the stable values are generated by
+``R = (1-q)^{-2} prod_{m >= 2} (1-q^m)^{-3}``, which Jacobi's cube identity
+``prod (1-q^m)^3 = sum_{k >= 0} (-1)^k (2k+1) q^{T_k}`` turns into
 
-    R(z) = 1/(1 - z^2)^2 * prod_{m >= 2} 1/(1 - z^{2m})^3.
+    r_j = [j = 0] - [j = 1] - sum_{k >= 1, T_k <= j} (-1)^k (2k+1) r_{j-T_k}.
 
-An independent Euler-number oracle counts three-colored partitions by
-direct recursion (the ``z -> 1`` specialization of the product is
-``prod (1 - t^k)^{-3}``).  A disk cache with bit-exact round-trips keeps
-the rows; a cache file that fails to decode or validate is reported on
-stderr and treated as a miss, so the row is recomputed and rewritten.
+An independent Euler-number oracle counts three-colored partitions (the
+``z -> 1`` specialization is ``prod (1 - t^k)^{-3}``).  A disk cache keeps
+the rows bit-exactly; a file that fails to decode or validate is reported
+on stderr and treated as a miss, so the row is recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ class HilbCache:
             return None
         try:
             hp = _decode_cache_file(path.read_text(encoding="utf-8"), n)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
             return None
         self._memory[n] = hp
@@ -180,11 +185,6 @@ def _decode_cache_file(text: str, expected_n: int) -> HilbPoincare:
     return HilbPoincare(expected_n, IntPoly(coeffs))
 
 
-# Factor ``k`` of the product is ``prod_b (1 - w^b t^k)^{-1}`` over the
-# exponents ``b = k + offset`` of ``w = z^2``, one per offset here.
-FACTOR_OFFSETS = (-1, 0, 1)
-
-
 def _euler_numbers(n: int) -> list[int]:
     """``chi(Hilb^m)`` for ``m <= n``: the coefficients of ``prod (1-t^k)^{-3}``."""
     return geometric_product((k for k in range(1, n + 1) for _ in range(3)), n + 1)
@@ -193,34 +193,42 @@ def _euler_numbers(n: int) -> list[int]:
 def _slot_width(euler_n: int) -> int:
     """Bits per packed coefficient for rows up to ``n``, from ``chi(Hilb^n)``.
 
-    Every term of the product is non-negative, so no partial coefficient
-    of any row ``m <= n`` exceeds ``chi(Hilb^n)``.
+    No coefficient of a row ``m <= n`` exceeds ``chi(Hilb^m) <= chi(Hilb^n)``;
+    the packed recurrence is exact at any width, so only unpacking needs it.
     """
     return euler_n.bit_length() + 1
 
 
-def _half_rows(n: int, width: int) -> list[list[int]]:
+def _triangular(limit: int) -> list[tuple[int, int]]:
+    """``(m, T_m)`` for every ``m >= 1`` with ``T_m = m(m+1)/2 <= limit``."""
+    pairs = ((m, m * (m + 1) // 2) for m in range(1, limit + 1))
+    return [(m, t) for m, t in pairs if t <= limit]
+
+
+def _theta_rows(n: int, width: int) -> list[list[int]]:
     """Coefficients of ``w^0 .. w^m`` in the ``t^m`` row, for every ``m <= n``.
 
-    Row ``m`` is packed into one int, ``width`` bits per coefficient of
-    ``w^0 .. w^n`` (Kronecker substitution), so the factor
-    ``(1 - w^b t^k)^{-1}`` becomes one shift-add per row,
-    ``row[m] += row[m-k] << width*b`` in increasing ``m``, masked back to
-    ``n + 1`` slots.  Row ``m`` has degree ``2m`` in ``w`` and ``m <= n``,
-    so those slots hold at least the low half of every row.
+    Rows are packed whole, ``width`` bits a slot; only low halves are unpacked.
     """
-    bits_len = width * (n + 1)
-    mask = (1 << bits_len) - 1
-    rows = [0] * (n + 1)
-    rows[0] = 1
-    for k in range(1, n + 1):
-        for offset in FACTOR_OFFSETS:
-            shift = width * (k + offset)
-            for m in range(k, n + 1):
-                rows[m] = (rows[m] + (rows[m - k] << shift)) & mask
+    terms = [
+        (t, width * (t + m + 1), width * (t - m), m % 2) for m, t in _triangular(n)
+    ]
+    packed = [1]
+    for big_n in range(1, n + 1):
+        acc = 0
+        for t, high, low, odd in terms:
+            if t > big_n:
+                break
+            term = (packed[big_n - t] << high) - (packed[big_n - t] << low)
+            acc = acc + term if odd else acc - term
+        row, rem = divmod(acc, (1 << width) - 1)
+        if rem:
+            raise ConsistencyError(f"packed row {big_n} is not divisible by w - 1")
+        packed.append(row)
     halves = []
-    for m, packed in enumerate(rows):
-        bits = format(packed, f"0{bits_len}b")
+    for m, row in enumerate(packed):
+        bits_len = width * (m + 1)
+        bits = format(row & ((1 << bits_len) - 1), f"0{bits_len}b")
         halves.append([
             int(bits[bits_len - width * (j + 1):bits_len - width * j], 2)
             for j in range(m + 1)
@@ -244,7 +252,7 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
         if hit is not None:
             return hit
     euler = _euler_numbers(n)
-    for m, low in enumerate(_half_rows(n, _slot_width(euler[n]))):
+    for m, low in enumerate(_theta_rows(n, _slot_width(euler[n]))):
         full = low + low[-2::-1]
         if sum(full) != euler[m]:
             raise ConsistencyError(
@@ -260,17 +268,21 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
 
 
 def stable_series(cap: int) -> TruncatedSeries:
-    """Generating series of the stable Betti numbers, truncated at ``cap``.
-
-    ``R(z) = 1/(1-z^2)^2 * prod_{m >= 2} 1/(1-z^{2m})^3``, built by
-    :func:`~motivic_betti.series.geometric_product` with one stride pass per
-    factor.  Factors with ``2m >= cap`` are identically 1 below the cap, so
-    only the finitely many others are taken and the result is exact.
-    """
+    """The stable series ``R(z)`` below ``cap``, by the cube-identity recurrence."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    degrees = [2, 2] + [2 * m for m in range(2, (cap + 1) // 2) for _ in range(3)]
-    return TruncatedSeries(geometric_product(degrees, cap), cap)
+    r = [1] + [0] * ((cap - 1) // 2)
+    terms = [(t, (2 * k + 1) * (-1) ** (k + 1)) for k, t in _triangular(len(r) - 1)]
+    for j in range(1, len(r)):
+        acc = -(j == 1)
+        for t, c in terms:
+            if t > j:
+                break
+            acc += c * r[j - t]
+        r[j] = acc
+    coeffs = [0] * cap
+    coeffs[::2] = r
+    return TruncatedSeries(IntPoly(coeffs), cap)
 
 
 def stable_betti(s: int) -> int:

@@ -11,13 +11,12 @@ Grothendieck-ring classes) is built on two carriers:
 Truncation is exclusive: a cap of ``c`` keeps exponents ``0 .. c-1``.  All
 values are immutable after construction and safe to share across threads.
 
-Products of two series are schoolbook convolutions; the caps in play stay
-in the low hundreds, where that is exact and fast enough.  The one-variable
-generating series downstream are products of geometric factors
+Products of two series are schoolbook convolutions over the non-zero
+coefficients of both operands; the caps in play stay in the low hundreds,
+where that is exact and fast enough.  The monomial-count series and the
+Euler numbers of the Hilbert schemes are products of geometric factors
 ``1/(1 - z**deg)``, and :func:`geometric_product` builds those without any
-convolution: each factor is one in-place stride pass over the window.  The
-series that arise are dense in even exponents, so the dense representation
-wastes at most half the slots.
+convolution: each factor is one in-place stride pass over the window.
 """
 
 from __future__ import annotations
@@ -121,12 +120,11 @@ class IntPoly:
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly.zero()
         out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in b_terms:
                     out[i + j] += ca * cb
         return IntPoly(out)
 

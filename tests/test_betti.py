@@ -101,6 +101,13 @@ class TestBettiTable:
         assert poly[top] == hp_value_d1 - table.value(d - 1)
         assert poly[top - 2] == hp_value_d - table.value(d)
 
+    def test_hard_lefschetz(self, cache):
+        # M(d, chi) is smooth projective of dimension d^2 + 1 > 2d, so
+        # b_0 <= b_2 <= ... <= b_{2d}; largest d first fills the cache once
+        for d in range(20, 4, -1):
+            b = [row.b2k for row in m_betti_table(d, 1, cache).rows]
+            assert all(x <= y for x, y in zip(b, b[1:])), d
+
     def test_small_d_rejected(self, cache):
         with pytest.raises(ValueError):
             m_betti_table(4, 1, cache)

@@ -60,6 +60,24 @@ class TestHilbCommand:
         assert res.returncode == 0
         assert (target / "hilb_2.json").exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 10**5 + b"]" * 10**5, b'{"n": 4, "coeffs": ["\xff\xfe"]}'],
+        ids=["nested-arrays", "invalid-utf8"],
+    )
+    def test_undecodable_cache_file_is_a_logged_miss(self, tmp_path, content):
+        path = tmp_path / "hilb_4.json"
+        path.write_bytes(content)
+        res = run_cli("hilb", "--n", "4", "--format", "csv", "--cache-dir", str(tmp_path))
+        fresh = run_cli("hilb", "--n", "4", "--format", "csv",
+                        "--cache-dir", str(tmp_path / "fresh"))
+        assert res.returncode == 0
+        assert res.stdout == fresh.stdout
+        assert "Traceback" not in res.stderr
+        err = res.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ") and str(path) in err[0]
+        assert HilbCache(tmp_path).get(4) == hilb.hilb_poincare(4)
+
 
 class TestStableCommand:
     def test_json_values(self):

@@ -14,7 +14,7 @@ from motivic_betti.hilb import (
     stable_betti,
     stable_series,
 )
-from motivic_betti.series import IntPoly, geometric_product
+from motivic_betti.series import IntPoly, TruncatedSeries, geometric_product
 
 # z=1 values of the product rows, counted independently by enumerating
 # three-colored partitions (frozen from a standalone enumeration).
@@ -57,6 +57,62 @@ def enumerated_row(n):
     return coeffs
 
 
+# Factor ``k`` of the product is ``prod_b (1 - w^b t^k)^{-1}`` over the
+# exponents ``b = k + offset`` of ``w = z^2``, one per offset here.
+FACTOR_OFFSETS = (-1, 0, 1)
+
+
+def product_rows(n, width):
+    """Low halves of rows ``0 .. n`` by expanding the product factor by factor.
+
+    The product-form oracle for the triple-product kernel: row ``m`` is
+    packed into one int, ``width`` bits per coefficient of ``w^0 .. w^n``,
+    so the factor ``(1 - w^b t^k)^{-1}`` becomes one shift-add per row,
+    ``row[m] += row[m-k] << width*b`` in increasing ``m``, masked back to
+    ``n + 1`` slots.  Every partial coefficient is non-negative and at most
+    ``chi(Hilb^n)``, so the slot width of the kernel serves here too.
+    """
+    bits_len = width * (n + 1)
+    mask = (1 << bits_len) - 1
+    rows = [0] * (n + 1)
+    rows[0] = 1
+    for k in range(1, n + 1):
+        for offset in FACTOR_OFFSETS:
+            shift = width * (k + offset)
+            for m in range(k, n + 1):
+                rows[m] = (rows[m] + (rows[m - k] << shift)) & mask
+    halves = []
+    for m, packed in enumerate(rows):
+        bits = format(packed, f"0{bits_len}b")
+        halves.append([
+            int(bits[bits_len - width * (j + 1):bits_len - width * j], 2)
+            for j in range(m + 1)
+        ])
+    return halves
+
+
+def stride_stable_series(cap):
+    """``R(z) = 1/(1-z^2)^2 prod_{m >= 2} 1/(1-z^{2m})^3`` by stride passes.
+
+    The product-form oracle for the cube-identity kernel: one geometric
+    factor per degree, and factors with ``2m >= cap`` are 1 below the cap.
+    """
+    degrees = [2, 2] + [2 * m for m in range(2, (cap + 1) // 2) for _ in range(3)]
+    return geometric_product(degrees, cap)
+
+
+def both_kernels(n):
+    """``(theta rows, product rows)`` for ``0 .. n`` at the kernel's width."""
+    width = hilb._slot_width(hilb._euler_numbers(n)[n])
+    return hilb._theta_rows(n, width), product_rows(n, width)
+
+
+def without_theta_term(z_degree):
+    """``_triangular`` with the term of ``q^{T_m} = z^{z_degree}`` left out."""
+    triangular = hilb._triangular
+    return lambda limit: [(m, t) for m, t in triangular(limit) if 2 * t != z_degree]
+
+
 def stable_row_mismatches(cache):
     """``(n, s)`` with ``2s <= n <= 12`` where the row and stable value differ."""
     return [
@@ -85,11 +141,13 @@ class TestGoettscheBivariate:
         assert hilb_poincare(2).poly == IntPoly([1, 0, 2, 0, 3, 0, 2, 0, 1])
 
     def test_oracle_rejects_perturbed_factor(self, monkeypatch):
-        # (k-1, k, k+2) in place of (k-1, k, k+1): the kernel's mirrored
-        # low halves must then disagree with the enumeration
-        monkeypatch.setattr(hilb, "FACTOR_OFFSETS", (-1, 0, 2))
+        # the triple-product recurrence without its m = 2 term (T_2 = 3,
+        # z^6): every term is divisible by w - 1, so the kernel still
+        # returns rows, and their mirrored low halves must then disagree
+        # with the enumeration
+        monkeypatch.setattr(hilb, "_triangular", without_theta_term(6))
         n = 6
-        halves = hilb._half_rows(n, hilb._slot_width(colored_partition_euler(n)))
+        halves = hilb._theta_rows(n, hilb._slot_width(colored_partition_euler(n)))
         mirrored = [low + low[-2::-1] for low in halves]
         assert any(
             row != enumerated_row(m)[::2] for m, row in enumerate(mirrored)
@@ -100,6 +158,53 @@ class TestGoettscheBivariate:
         monkeypatch.setattr(hilb, "_slot_width", lambda euler_n: width(euler_n) // 2)
         with pytest.raises(ValueError, match="overflowed"):
             hilb_poincare(40)
+
+
+class TestKernelsAgainstProductOracles:
+    """Both theta-quotient kernels against the product expansions they replace."""
+
+    # every row 0 .. n; up to n = 150 the oracle takes about 0.05 s, and
+    # 15 examples kept this test near 0.3 s on a 2-core machine
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=150))
+    def test_rows_match_product_expansion(self, n):
+        theta, product = both_kernels(n)
+        assert theta == product
+
+    @pytest.mark.parametrize("n", [209, 300])
+    def test_rows_match_product_expansion_at_size(self, n):
+        theta, product = both_kernels(n)
+        assert theta == product
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=1, max_value=2001))
+    def test_stable_series_matches_stride_product(self, cap):
+        assert stable_series(cap) == TruncatedSeries(stride_stable_series(cap), cap)
+
+    def test_stable_series_matches_stride_product_at_2001(self):
+        assert stable_series(2001) == TruncatedSeries(stride_stable_series(2001), 2001)
+
+    def test_stable_series_is_euler_differences(self):
+        # R(q) = (1 - q) prod (1 - q^m)^{-3}: r_j = chi(Hilb^j) - chi(Hilb^{j-1}),
+        # with the Euler numbers from the stride product
+        euler = hilb._euler_numbers(500)
+        r = stable_series(1001)
+        assert r.coeff(0) == euler[0]
+        assert all(r.coeff(2 * j) == euler[j] - euler[j - 1] for j in range(1, 501))
+
+
+class TestHardLefschetz:
+    """``M(d, chi)`` is smooth projective of dimension ``d^2 + 1 > 2d``, so
+    ``b_0 <= b_2 <= ... <= b_{2d}``, the corrected values included."""
+
+    def test_stable_values_and_corrections_for_d_up_to_2000(self):
+        r = stable_series(4001)
+        s = [r.coeff(2 * i) for i in range(2001)]
+        # b_0 .. b_{2d-4} are stable values s_0 .. s_{d-2}, d <= 2000
+        assert all(s[i] <= s[i + 1] for i in range(1998))
+        for d in range(5, 2001):
+            assert s[d - 1] - 3 >= s[d - 2], d
+            assert s[d] - 12 >= s[d - 1] - 3, d
 
 
 class TestHilbPoincare:
@@ -157,20 +262,14 @@ class TestStableSeries:
     def test_stable_range_matches_rows(self):
         assert stable_row_mismatches(HilbCache()) == []
 
-    @pytest.mark.parametrize("dropped", [2, 4, 12])
+    @pytest.mark.parametrize("dropped", [2, 6, 12])
     def test_row_check_catches_a_dropped_factor(self, monkeypatch, dropped):
+        # drop the cube-identity term of degree `dropped` in z (m = 1, 2, 3);
         # rows first, so the mutation reaches stable_series alone
         cache = HilbCache()
         for n in range(13):
             hilb_poincare(n, cache)
-
-        def one_factor_short(degrees, cap):
-            degrees = list(degrees)
-            if dropped in degrees:
-                degrees.remove(dropped)
-            return geometric_product(degrees, cap)
-
-        monkeypatch.setattr(hilb, "geometric_product", one_factor_short)
+        monkeypatch.setattr(hilb, "_triangular", without_theta_term(dropped))
         assert stable_row_mismatches(cache) != []
 
     def test_monotone_stabilization(self):

@@ -202,3 +202,30 @@ def test_geometric_product_matches_convolution(degrees, cap):
     for deg in degrees:
         acc = acc * geometric(deg, cap)
     assert geometric_product(degrees, cap) == [acc.coeff(e) for e in range(cap)]
+
+
+def schoolbook(a, b):
+    """Every pair of coefficients, zeros included, as the oracle for ``*``."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return IntPoly(out)
+
+
+# dense, sparse (mostly zeros) and monomial operands, zero included
+int_polys = st.one_of(
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=12),
+    st.lists(st.sampled_from([0, 0, 0, 0, 1, -2, 7]), max_size=30),
+    st.builds(
+        lambda exp, c: [0] * exp + [c],
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=-5, max_value=5),
+    ),
+).map(IntPoly)
+
+
+@settings(max_examples=200)
+@given(int_polys, int_polys)
+def test_intpoly_mul_matches_schoolbook(a, b):
+    assert a * b == b * a == schoolbook(a, b)

@@ -3,13 +3,9 @@
 Classes live in the Grothendieck ring of varieties localized at the
 Lefschetz class ``L`` (the affine line) and at every ``L^i - 1``; that
 localization is where quotient-stack classes such as ``[X]/[GL_n]`` make
-sense.  A :class:`MotivicClass` is a fraction
-
-    num(L) * L^(-lshift) / prod_i (L^i - 1),   lshift >= 0,
-
-stored unreduced (a negative ``lshift`` is folded into ``num`` when the
-class is built); equality is decided by cross-multiplication, so no
-polynomial gcd is ever needed.
+sense.  A :class:`MotivicClass` is an unreduced fraction ``num(L)/den(L)``
+of integer polynomials; equality is decided by cross-multiplication, so
+no polynomial gcd is ever needed.
 
 The virtual Poincare specialization sends ``L`` to ``z**2`` and is a ring
 homomorphism into fractions of integer polynomials.  Its degree (degree
@@ -24,7 +20,12 @@ congruences that corrects the Hilbert-scheme Betti numbers into the
 moduli ones, and extracts the correction coefficients (3 and 12) from an
 honest polynomial division.  Every constant in the chain can be perturbed
 through :class:`ChainConstants`, so tests can confirm the checks have
-teeth.
+teeth.  The chain is no check of the Hilbert row in
+``X = [P^2][Hilb^n1]``: step 1 is an identity in ``X``, step 2's
+difference is ``3X/(L-1)``, whose degree depends only on ``dim X``, and
+step 3 reads the top two coefficients, ``b_0 = 1`` and ``b_2 = 2`` of
+``Hilb^n1`` by duality.  Any palindromic row of degree ``2*n1`` with
+those two coefficients passes.
 """
 
 from __future__ import annotations
@@ -38,24 +39,94 @@ from .series import NEG_INF, IntPoly
 Degree = Union[int, float]  # NEG_INF marks the zero class
 
 
-def _den_poly(den: tuple[int, ...]) -> IntPoly:
-    acc = IntPoly.one()
-    for i in den:
-        acc = acc * IntPoly([-1] + [0] * (i - 1) + [1])
-    return acc
+def _l_power_minus_one(i: int) -> IntPoly:
+    if i < 1:
+        raise ValueError(f"denominator exponent must be >= 1, got {i}")
+    return IntPoly([-1] + [0] * (i - 1) + [1])
 
 
-class MotivicClass:
-    """A localized Grothendieck-ring class, as an unreduced fraction.
+class _Fraction:
+    """An unreduced fraction ``num / den`` of integer polynomials.
 
-    ``num`` is an integer polynomial in the Lefschetz class, ``lshift``
-    a global factor ``L**(-lshift)``, and ``den`` a multiset of positive
-    integers, each entry ``i`` standing for one denominator factor
-    ``L**i - 1``.  The constructor folds a negative ``lshift`` into
-    ``num``, so ``lshift >= 0`` always holds.
+    Sums and products multiply denominators and never reduce; equality is
+    decided by cross-multiplication, so no polynomial gcd is ever needed.
+    The degree is the degree of the numerator minus that of the
+    denominator, ``NEG_INF`` for the zero fraction.
     """
 
-    __slots__ = ("num", "lshift", "den")
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: IntPoly, den: IntPoly):
+        if den.is_zero:
+            raise ZeroDivisionError("fraction with zero denominator")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, num: IntPoly, den: IntPoly):
+        new = object.__new__(cls)
+        _Fraction.__init__(new, num, den)
+        return new
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        # the numerator vanishes iff the fraction does: the ambient ring is
+        # a localization of a polynomial ring over Z, hence a domain
+        return self.num.is_zero
+
+    @property
+    def degree(self) -> Degree:
+        return NEG_INF if self.num.is_zero else self.num.degree - self.den.degree
+
+    def __add__(self, other):
+        return self._of(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return self._of(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._of(self.num * other, self.den)
+        return self._of(self.num * other.num, self.den * other.den)
+
+    def __rmul__(self, other: int):
+        return self * other
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    __hash__ = None  # unreduced representations of equal fractions differ
+
+    def __str__(self) -> str:
+        body = self.num.to_str(self._var)
+        if self.den == IntPoly.one():
+            return body
+        return f"({body})/({self.den.to_str(self._var)})"
+
+    def __repr__(self) -> str:
+        num, den = list(self.num.coeffs), list(self.den.coeffs)
+        return f"{type(self).__name__}(num={num}, den={den})"
+
+
+class MotivicClass(_Fraction):
+    """A localized Grothendieck-ring class: a fraction in the Lefschetz
+    class ``L``.
+
+    The constructor takes ``num(L) * L**(-lshift) / prod_i (L**i - 1)``,
+    one ``L**i - 1`` per entry ``i >= 1`` of ``den``, and stores it as one
+    numerator and one denominator polynomial in ``L``.
+    """
+
+    __slots__ = ()
+    _var = "L"  # the variable ``__str__`` prints
 
     def __init__(
         self,
@@ -65,74 +136,16 @@ class MotivicClass:
     ):
         if isinstance(num, int):
             num = IntPoly([num])
-        if any(i < 1 for i in den):
-            raise ValueError(f"denominator entries must be >= 1, got {den}")
         if lshift < 0:
-            num, lshift = num * IntPoly.monomial(-lshift), 0
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "lshift", lshift)
-        object.__setattr__(self, "den", tuple(sorted(den)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MotivicClass is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        # the numerator vanishes iff the class does: the ambient ring is
-        # a localization of a polynomial ring over Z, hence a domain
-        return self.num.is_zero
-
-    def __add__(self, other: MotivicClass) -> MotivicClass:
-        a = self.num * _den_poly(other.den) * IntPoly.monomial(other.lshift)
-        b = other.num * _den_poly(self.den) * IntPoly.monomial(self.lshift)
-        return MotivicClass(a + b, self.lshift + other.lshift, self.den + other.den)
-
-    def __neg__(self) -> MotivicClass:
-        return MotivicClass(-self.num, self.lshift, self.den)
-
-    def __sub__(self, other: MotivicClass) -> MotivicClass:
-        return self + (-other)
-
-    def __mul__(self, other: Union[MotivicClass, int]) -> MotivicClass:
-        if isinstance(other, int):
-            return MotivicClass(self.num * other, self.lshift, self.den)
-        return MotivicClass(
-            self.num * other.num,
-            self.lshift + other.lshift,
-            self.den + other.den,
-        )
-
-    def __rmul__(self, other: int) -> MotivicClass:
-        return self * other
+            num = num * IntPoly.monomial(-lshift)
+        poly = IntPoly.monomial(max(lshift, 0))
+        for i in den:
+            poly = poly * _l_power_minus_one(i)
+        super().__init__(num, poly)
 
     def div(self, i: int) -> MotivicClass:
-        """Divide by ``L**i - 1`` (append a denominator factor)."""
-        if i < 1:
-            raise ValueError(f"denominator exponent must be >= 1, got {i}")
-        return MotivicClass(self.num, self.lshift, self.den + (i,))
-
-    def __eq__(self, other) -> bool:
-        """Equality of the underlying classes, by cross-multiplication."""
-        if not isinstance(other, MotivicClass):
-            return NotImplemented
-        return (self - other).is_zero
-
-    __hash__ = None  # unreduced representations of equal classes differ
-
-    def __str__(self) -> str:
-        body = self.num.to_str("L")
-        if self.lshift:
-            body = f"({body})*L^({-self.lshift})"
-        if self.den:
-            dens = "*".join(f"(L^{i}-1)" if i > 1 else "(L-1)" for i in self.den)
-            return f"({body})/{dens}"
-        return body
-
-    def __repr__(self) -> str:
-        return (
-            f"MotivicClass({list(self.num.coeffs)!r}, "
-            f"lshift={self.lshift}, den={self.den!r})"
-        )
+        """Divide by ``L**i - 1``."""
+        return self._of(self.num, self.den * _l_power_minus_one(i))
 
 
 def affine(n: int) -> MotivicClass:
@@ -158,61 +171,25 @@ def hilb_class(n: int, cache: Optional[HilbCache] = None) -> MotivicClass:
     return MotivicClass(IntPoly([hp.betti(2 * k) for k in range(2 * n + 1)]))
 
 
-@dataclass(frozen=True)
-class PvFraction:
-    """A virtual Poincare polynomial with denominators, over ``z``.
+class PvFraction(_Fraction):
+    """A virtual Poincare polynomial with denominators, over ``z``."""
 
-    The degree of a fraction is the degree of its numerator minus the
-    degree of its denominator; the zero fraction has degree ``NEG_INF``.
-    """
-
-    num: IntPoly
-    den: IntPoly
-
-    def __post_init__(self):
-        if self.den.is_zero:
-            raise ZeroDivisionError("fraction with zero denominator")
-
-    @property
-    def degree(self) -> Degree:
-        if self.num.is_zero:
-            return NEG_INF
-        return self.num.degree - self.den.degree
-
-    def __add__(self, other: PvFraction) -> PvFraction:
-        return PvFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: PvFraction) -> PvFraction:
-        return PvFraction(self.num * other.num, self.den * other.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PvFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
+    __slots__ = ()
+    _var = "z"
 
     def as_polynomial(self) -> IntPoly:
         """Exact quotient; raises ``ValueError`` if division is not exact."""
         return self.num.exact_div(self.den)
-
-    def __str__(self) -> str:
-        if self.den == IntPoly.one():
-            return self.num.to_str("z")
-        return f"({self.num.to_str('z')})/({self.den.to_str('z')})"
 
 
 def virtual_poincare(c: MotivicClass) -> PvFraction:
     """Specialize the Lefschetz class to ``z**2``.
 
     The mixed Hodge polynomial of ``L`` is ``x*y*t**2``, so the virtual
-    Poincare measure sends ``L`` to ``z**2``; an ``lshift`` contributes
-    ``z**(-2*lshift)``, a factor of the denominator.
+    Poincare measure sends ``L`` to ``z**2``, in numerator and
+    denominator alike.
     """
-    den = _den_poly(c.den).substitute_power(2) * IntPoly.monomial(2 * c.lshift)
-    return PvFraction(c.num.substitute_power(2), den)
+    return PvFraction(c.num.substitute_power(2), c.den.substitute_power(2))
 
 
 def pv_degree(c: MotivicClass) -> Degree:
@@ -325,19 +302,16 @@ def _congruence(
     )
 
 
-def correction_polynomial(
-    d: int,
-    cache: Optional[HilbCache] = None,
-    multiplier: int = 3,
-) -> IntPoly:
-    """Virtual Poincare polynomial of ``multiplier * [P^(2d-4)][P^2][Hilb^n1]``.
+def correction_polynomial(d: int, cache: Optional[HilbCache] = None) -> IntPoly:
+    """Virtual Poincare polynomial of ``3 [P^(2d-4)][P^2][Hilb^n1]``.
 
     ``n1 = (d-1)(d-2)/2 + 1``.  The product is a genuine variety class, so
     the division by the specialized denominators is exact; the top two
     coefficients of the result are the corrections applied to the last two
     rows of the Betti table.
     """
-    return virtual_poincare(_chain_classes(d, cache, multiplier)[1]).as_polynomial()
+    corr = _chain_classes(d, cache, DEFAULT_CONSTANTS.multiplier)[1]
+    return virtual_poincare(corr).as_polynomial()
 
 
 def verify_congruence_chain(

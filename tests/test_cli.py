@@ -10,6 +10,7 @@ import pytest
 from motivic_betti import cli, hilb
 from motivic_betti.betti import m_betti_table, render
 from motivic_betti.hilb import HilbCache
+from motivic_betti.motivic import correction_polynomial
 from motivic_betti.tautgen import a_coeff, relation_count
 
 
@@ -302,6 +303,26 @@ def test_stdout_is_pinned(cache_dir, argv):
     res = run_cli(*argv, *extra)
     assert res.returncode == 0
     assert sha256(res.stdout) == STDOUT_SHA256[argv]
+
+
+# one sha256 over the exit codes and stdout of verify --d 5, 9 and 20 (d = 9
+# is where step 1's difference is the zero class), unmutated and under each
+# mutation, in json and csv, then over str(correction_polynomial(d)) for
+# d = 5..12; taken before motivic.py held one fraction type
+VERIFY_SWEEP_SHA256 = "929806bdaa11a223a6ad55523c7602270d0140b64572a3ee8d368cc72f4112f2"
+
+
+def test_verify_sweep_is_pinned(cache_dir, capsys):
+    digest = hashlib.sha256()
+    for d in (5, 9, 20):
+        for mutation in ((), *(("--mutate", m) for m in cli.MUTATION_FLAGS)):
+            for fmt in ("json", "csv"):
+                argv = ["verify", "--d", str(d), "--format", fmt, *mutation]
+                code = cli.main([*argv, "--cache-dir", cache_dir])
+                digest.update(f"{argv}\n{code}\n{capsys.readouterr().out}".encode())
+    for d in range(5, 13):
+        digest.update(str(correction_polynomial(d, HilbCache(cache_dir))).encode())
+    assert digest.hexdigest() == VERIFY_SWEEP_SHA256
 
 
 USAGE = "usage: motivic-betti [-h] {hilb,stable,gens,betti,relations,verify} ...\n"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivic_betti import motivic
 from motivic_betti.hilb import HilbCache
 from motivic_betti.motivic import (
     DEFAULT_CONSTANTS,
@@ -96,7 +97,7 @@ class TestVirtualPoincare:
         power = MotivicClass(1)
         for _ in range(n):
             power = power * projective(2)
-        assert power.den == (1,) * n
+        assert power.den == _factor_product((1,) * n)  # (L - 1)^n
         assert pv_degree(power) == 4 * n
 
     def test_zero_class_degree_sentinel(self):
@@ -139,26 +140,25 @@ classes = st.builds(
 )
 
 
-@given(classes)
-def test_lshift_is_never_negative(c):
-    assert c.lshift >= 0
+@given(polys, st.integers(1, 3), dens)
+def test_positive_lshift_multiplies_denominator(num, k, den):
+    shifted = MotivicClass(num, k, den)
+    plain = MotivicClass(num, 0, den)
+    assert (shifted.num, shifted.den) == (plain.num, plain.den * IntPoly.monomial(k))
 
 
 @given(polys, st.integers(1, 3), dens)
 def test_negative_lshift_folds_into_numerator(num, k, den):
     folded = MotivicClass(num, -k, den)
     direct = MotivicClass(num * IntPoly.monomial(k), 0, den)
-    assert (folded.num, folded.lshift, folded.den) == (direct.num, 0, direct.den)
+    assert (folded.num, folded.den) == (direct.num, direct.den)
 
 
 def _same_class_variant(c, j, k):
-    """A different representation of the same class."""
-    scaled = MotivicClass(
-        c.num * IntPoly([-1] + [0] * (j - 1) + [1]) * IntPoly.monomial(k),
-        c.lshift + k,
-        c.den + (j,),
-    )
-    return scaled
+    """A different representation of the same class: ``c`` times the unit
+    ``(L^j - 1) L^k / ((L^j - 1) L^k)``."""
+    unit = MotivicClass(IntPoly([-1] + [0] * (j - 1) + [1]) * IntPoly.monomial(k), k, (j,))
+    return c * unit
 
 
 @given(classes, st.integers(1, 4), st.integers(0, 3), st.integers(1, 4))
@@ -264,3 +264,127 @@ class TestCongruenceChain:
         assert [c.name for c in bad] == ["extract_corrections"]
         assert "z^44" in bad[0].lhs_pv
         assert "4*z^44" in bad[0].rhs_pv
+
+
+# ---------------------------------------------------------------------------
+# The factor-multiset class as an oracle for the one fraction type
+# ---------------------------------------------------------------------------
+
+
+def _factor_product(den):
+    acc = IntPoly.one()
+    for i in den:
+        acc = acc * IntPoly([-1] + [0] * (i - 1) + [1])
+    return acc
+
+
+class _FactorClass:
+    """``num(L) * L^(-lshift) / prod_i (L^i - 1)`` with ``lshift >= 0`` and
+    the factors kept as a multiset of exponents ``i``: the representation
+    motivic.py used before it held one numerator and one denominator."""
+
+    def __init__(self, num, lshift=0, den=()):
+        if lshift < 0:
+            num, lshift = num * IntPoly.monomial(-lshift), 0
+        self.num, self.lshift, self.den = num, lshift, tuple(sorted(den))
+
+    def __add__(self, other):
+        a = self.num * _factor_product(other.den) * IntPoly.monomial(other.lshift)
+        b = other.num * _factor_product(self.den) * IntPoly.monomial(self.lshift)
+        return _FactorClass(a + b, self.lshift + other.lshift, self.den + other.den)
+
+    def __neg__(self):
+        return _FactorClass(-self.num, self.lshift, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _FactorClass(self.num * other, self.lshift, self.den)
+        return _FactorClass(
+            self.num * other.num, self.lshift + other.lshift, self.den + other.den
+        )
+
+    def div(self, i):
+        return _FactorClass(self.num, self.lshift, self.den + (i,))
+
+    def specialize(self):
+        """``(num, den)`` over ``z`` after ``L -> z**2``, and its string."""
+        num = self.num.substitute_power(2)
+        den = _factor_product(self.den).substitute_power(2)
+        den = den * IntPoly.monomial(2 * self.lshift)
+        if den == IntPoly.one():
+            return num, den, num.to_str("z")
+        return num, den, f"({num.to_str('z')})/({den.to_str('z')})"
+
+
+def _paired(num, lshift, den):
+    return MotivicClass(num, lshift, den), _FactorClass(num, lshift, den)
+
+
+def _expressions(depth):
+    """Pairs (class, oracle) built by the same expression tree."""
+    leaf = st.builds(_paired, polys, st.integers(-3, 3), dens)
+    if depth == 0:
+        return leaf
+    sub = _expressions(depth - 1)
+    binary = {
+        "+": lambda x, y: x + y,
+        "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y,
+    }
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(sorted(binary)), sub, sub).map(
+            lambda t: (binary[t[0]](t[1][0], t[2][0]), binary[t[0]](t[1][1], t[2][1]))
+        ),
+        sub.map(lambda p: (-p[0], -p[1])),
+        st.tuples(st.integers(-3, 3), sub).map(lambda t: (t[0] * t[1][0], t[1][1] * t[0])),
+        st.tuples(st.integers(1, 4), sub).map(lambda t: (t[1][0].div(t[0]), t[1][1].div(t[0]))),
+    )
+
+
+@settings(max_examples=200)
+@given(_expressions(4))
+def test_specialization_matches_factor_multiset_oracle(pair):
+    new, old = pair
+    pv = virtual_poincare(new)
+    num, den, text = old.specialize()
+    assert pv.num.coeffs == num.coeffs
+    assert pv.den.coeffs == den.coeffs
+    assert str(pv) == text
+
+
+# ---------------------------------------------------------------------------
+# What the chain certifies (see the motivic module docstring)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _fake_hilb_rows(draw):
+    """``d`` and a palindromic row of degree ``2*n1`` whose top two
+    coefficients and middle are random."""
+    d = draw(st.integers(5, 9))
+    n1 = (d - 1) * (d - 2) // 2 + 1
+    top = list(draw(st.just((1, 2)) | st.tuples(st.integers(0, 3), st.integers(0, 6))))
+    middle = draw(st.lists(st.integers(0, 50), min_size=n1 - 1, max_size=n1 - 1))
+    half = top + middle
+    return d, half + half[-2::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fake_hilb_rows())
+def test_chain_reads_only_degree_and_top_two_coefficients(drawn):
+    d, row = drawn
+    n1 = (d - 1) * (d - 2) // 2 + 1
+
+    def fake_hilb_class(n, cache=None):
+        assert n == n1
+        return MotivicClass(IntPoly(row))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(motivic, "hilb_class", fake_hilb_class)
+        collapse, close_up, extract = verify_congruence_chain(d).checks
+    assert collapse.passed and close_up.passed
+    assert extract.passed == (row[:2] == [1, 2])

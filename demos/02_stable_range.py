@@ -5,12 +5,13 @@ freezes once ``2s <= n``.  The frozen values have their own one-variable
 generating series; this script shows the two side by side.
 """
 
-from motivic_betti import hilb_poincare, stable_betti
+from motivic_betti import hilb_poincare, stable_series
 
 SMAX = 6
 NMAX = 12
 
 rows = [hilb_poincare(n) for n in range(NMAX + 1)]
+stable = stable_series(2 * SMAX + 1)
 
 header = "s\\n |" + "".join(f"{n:5d}" for n in range(NMAX + 1)) + "   stable"
 print(header)
@@ -21,7 +22,7 @@ for s in range(SMAX + 1):
         value = rows[n].betti(2 * s)
         mark = "*" if 2 * s <= n else " "
         cells.append(f"{value:4d}{mark}")
-    print(f"{s:3d} |" + "".join(cells) + f"   {stable_betti(s):6d}")
+    print(f"{s:3d} |" + "".join(cells) + f"   {stable.coeff(2 * s):6d}")
 
 print()
 print("Starred entries are in the stable range 2s <= n; every one of them")

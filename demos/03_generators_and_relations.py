@@ -8,17 +8,17 @@ three in degree ``d``.
 """
 
 from motivic_betti import (
-    a_coeff,
     generator_system,
     m_betti_table,
     monomial_count_bruteforce,
-    stable_betti,
+    monomial_series,
+    stable_series,
 )
 
 for d in (5, 6, 7):
-    system = generator_system(d)
-    print(f"d = {d}: {system.count} generators, degree multiset "
-          f"{dict(sorted(system.degrees.items()))}")
+    degrees = generator_system(d)
+    print(f"d = {d}: {sum(degrees.values())} generators, degree multiset "
+          f"{dict(sorted(degrees.items()))}")
 print()
 
 d = 6
@@ -28,11 +28,13 @@ print("=" * 64)
 print(f"{'i':>3} {'a_2i (series)':>14} {'a_2i (enum)':>12} {'stable':>8} "
       f"{'b_2i(M)':>8} {'relations':>10}")
 table = m_betti_table(d, chi)
+monomials = monomial_series(d, 2 * d + 1)
+stable = stable_series(2 * d + 1)
 for i in range(d + 1):
-    a_series = a_coeff(d, i)
-    a_enum = monomial_count_bruteforce(generator_system(d).degrees, i)
+    a_series = monomials.coeff(2 * i)
+    a_enum = monomial_count_bruteforce(generator_system(d), i)
     b = table.value(i)
-    print(f"{i:>3} {a_series:>14} {a_enum:>12} {stable_betti(i):>8} "
+    print(f"{i:>3} {a_series:>14} {a_enum:>12} {stable.coeff(2 * i):>8} "
           f"{b:>8} {a_series - b:>10}")
 
 print()

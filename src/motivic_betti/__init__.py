@@ -17,7 +17,6 @@ A command-line front end lives in :mod:`motivic_betti.cli` (installed as
 """
 
 from .betti import (
-    BettiRow,
     BettiTable,
     chi_normalize,
     emit,
@@ -25,7 +24,6 @@ from .betti import (
 )
 from .hilb import (
     HilbCache,
-    HilbPoincare,
     colored_partition_euler,
     hilb_poincare,
     stable_betti,
@@ -40,33 +38,24 @@ from .motivic import (
     virtual_poincare,
 )
 from .series import (
-    CapMismatchError,
     IntPoly,
-    OutOfWindowError,
     TruncatedSeries,
 )
 from .tautgen import (
-    GeneratorSystem,
     a_coeff,
     generator_system,
     monomial_count_bruteforce,
     monomial_series,
-    relation_count,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiRow",
     "BettiTable",
-    "CapMismatchError",
     "ChainConstants",
-    "GeneratorSystem",
     "HilbCache",
-    "HilbPoincare",
     "IntPoly",
     "MotivicClass",
-    "OutOfWindowError",
     "TruncatedSeries",
     "VerificationReport",
     "a_coeff",
@@ -79,7 +68,6 @@ __all__ = [
     "m_betti_table",
     "monomial_count_bruteforce",
     "monomial_series",
-    "relation_count",
     "stable_betti",
     "stable_series",
     "verify_congruence_chain",

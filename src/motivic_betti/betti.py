@@ -13,8 +13,8 @@ the representative of ``chi`` mod ``d`` in ``[-2d, -d-1]`` and
 ``n' = d(d-3)/2 - chi0``.  Every coprime ``chi`` gives ``2d <= n'``, so
 the Hilbert-scheme coefficients involved are stable and the table does
 not depend on ``chi``.  The corrections at ``k = d-1, d`` are transported
-from the top of the cohomology by Poincare duality, which the table
-records in ``duality_applied``.
+from the top of the cohomology by Poincare duality, which the JSON form
+records as ``"duality_applied": true``.
 
 Odd Betti numbers vanish, so the table lists ``b_{2k}`` only.  Emission
 is deterministic: fixed field order, LF line endings, and every integer
@@ -54,7 +54,6 @@ class BettiTable:
     chi0: int
     n: int
     rows: tuple[BettiRow, ...]
-    duality_applied: bool = True
 
     def __post_init__(self):
         if [r.k for r in self.rows] != list(range(self.d + 1)):
@@ -79,7 +78,7 @@ class BettiTable:
             "chi": str(self.chi),
             "chi0": str(self.chi0),
             "n": str(self.n),
-            "duality_applied": self.duality_applied,
+            "duality_applied": True,
             "rows": [
                 {"k": str(r.k), "b2k": str(r.b2k), "source": r.source}
                 for r in self.rows

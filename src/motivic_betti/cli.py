@@ -15,9 +15,9 @@ returns the object it prints, and :func:`main` emits it.
 
 Exit codes: 0 on success, 1 on verification failure (or a failed internal
 check, or I/O trouble), 2 on usage errors.  All integers in the output
-are decimal strings, so CI consumers never hit a width limit.  The
-Hilbert-row cache defaults to ``./.hilb-cache``; override with
-``--cache-dir`` or the ``MOTIVIC_BETTI_CACHE`` environment variable.
+are decimal strings, so CI consumers never hit a width limit.  Hilbert
+rows go to a disk cache only when ``--cache-dir`` or the
+``MOTIVIC_BETTI_CACHE`` environment variable names a directory.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 from .betti import BettiTable, emit, m_betti_table
 from .hilb import (
@@ -34,7 +35,6 @@ from .hilb import (
 from .motivic import DEFAULT_CONSTANTS, VerificationReport, verify_congruence_chain
 from .tautgen import generator_system, monomial_series
 
-DEFAULT_CACHE_DIR = ".hilb-cache"
 CACHE_ENV_VAR = "MOTIVIC_BETTI_CACHE"
 
 MUTATION_FLAGS = {
@@ -71,8 +71,9 @@ def _keyed_rows(head: dict, key: str, name: str, values) -> _Output:
     return _Output(obj, [key, name], rows)
 
 
-def _cache(args) -> HilbCache:
-    return HilbCache(args.cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR)
+def _cache(args) -> Optional[HilbCache]:
+    directory = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
+    return HilbCache(directory) if directory else None
 
 
 def _hilb(args) -> _Output:
@@ -91,13 +92,13 @@ def _stable(args) -> _Output:
 
 
 def _gens(args) -> _Output:
-    system = generator_system(args.d)
+    degrees = generator_system(args.d)
     series = monomial_series(args.d, 2 * args.d + 1)
     counts = [series.coeff(2 * i) for i in range(args.d + 1)]
     head = {
         "d": str(args.d),
-        "generator_count": str(sum(system.degrees.values())),
-        "degrees": {str(k): str(v) for k, v in sorted(system.degrees.items())},
+        "generator_count": str(sum(degrees.values())),
+        "degrees": {str(k): str(v) for k, v in sorted(degrees.items())},
     }
     return _keyed_rows(head, "i", "a2i", counts)
 
@@ -162,8 +163,8 @@ def _parser() -> argparse.ArgumentParser:
         if cached:
             p.add_argument(
                 "--cache-dir", default=None, metavar="PATH",
-                help=f"Hilbert-row cache directory (default: ./{DEFAULT_CACHE_DIR}, "
-                     f"or ${CACHE_ENV_VAR})",
+                help=f"Hilbert-row cache directory (default: ${CACHE_ENV_VAR}; "
+                     "without either, nothing is written to disk)",
             )
         p.set_defaults(handler=handler)
     return parser

@@ -168,7 +168,7 @@ def encode_cache_entry(hp: HilbPoincare) -> str:
         "generator": GENERATOR_TAG,
         "version": CACHE_FORMAT_VERSION,
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj) + "\n"
 
 
 def _decode_cache_file(text: str, expected_n: int) -> HilbPoincare:
@@ -240,7 +240,7 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
     """Poincare polynomial of ``Hilb^n(P^2)``, from the ``t^n`` row.
 
     One run of the kernel yields every row ``m <= n``, so all of them are
-    cached.  Each low half is mirrored into the full palindromic row.  A
+    cached, replacing what the cache held.  Each low half is mirrored into the full palindromic row.  A
     slot width too narrow for a coefficient carries into the next slot or
     past the mask, and either one changes the row's coefficient sum, so
     every row is checked against its Euler number first.
@@ -262,7 +262,7 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
         coeffs = [0] * (4 * m + 1)
         coeffs[::2] = full
         hp = HilbPoincare(m, IntPoly(coeffs))
-        if cache is not None and (m == n or cache.get(m) is None):
+        if cache is not None:
             cache.put(hp)
     return hp
 

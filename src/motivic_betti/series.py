@@ -306,19 +306,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.poly.coeffs)!r}, cap={self.cap})"
 
 
-def geometric(deg: int, cap: int) -> TruncatedSeries:
-    """The series ``1/(1 - z**deg)`` truncated at ``cap``.
-
-    Coefficient 1 at every multiple of ``deg`` below the cap, 0 elsewhere.
-    """
-    if deg <= 0:
-        raise ValueError(f"geometric factor needs deg >= 1, got {deg}")
-    out = [0] * cap
-    for e in range(0, cap, deg):
-        out[e] = 1
-    return TruncatedSeries(IntPoly(out), cap)
-
-
 def geometric_product(degrees: Iterable[int], cap: int) -> list[int]:
     """Coefficients of ``z**0 .. z**(cap-1)`` in ``prod 1/(1 - z**deg)``.
 

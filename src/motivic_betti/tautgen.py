@@ -19,7 +19,6 @@ every monomial count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .betti import m_betti_table
@@ -27,42 +26,19 @@ from .hilb import HilbCache
 from .series import TruncatedSeries, geometric_product
 
 
-@dataclass(frozen=True)
-class GeneratorSystem:
-    """Degrees of the tautological generators for a given ``d``.
-
-    ``degrees`` maps generator degree to multiplicity: exactly two of
-    degree 1 and exactly three of each degree in ``2 .. d-2``, for a total
-    of ``3d - 7``.
-    """
-
-    d: int
-    degrees: Mapping[int, int]
-
-    def __post_init__(self):
-        if self.d < 5:
-            raise ValueError(f"generator system needs d >= 5, got {self.d}")
-        expected = {1: 2, **{j: 3 for j in range(2, self.d - 1)}}
-        if dict(self.degrees) != expected:
-            raise ValueError("degree multiset does not match the generator set")
-
-    @property
-    def count(self) -> int:
-        return sum(self.degrees.values())
-
-
-def generator_system(d: int) -> GeneratorSystem:
+def generator_system(d: int) -> dict[int, int]:
     """The generator degree multiset for degree ``d`` (``d >= 5``).
 
-    The classes come in one pair of degree-1 generators plus, for each
-    ``k`` in ``3 .. d-1``, a triple of generators of degree ``k - 1``.
+    Maps generator degree to multiplicity: one pair of degree-1 generators
+    plus, for each ``k`` in ``3 .. d-1``, a triple of generators of degree
+    ``k - 1``, for a total of ``3d - 7``.
     """
     if d < 5:
         raise ValueError(f"generator system needs d >= 5, got {d}")
     degrees = {1: 2}
     for k in range(3, d):
         degrees[k - 1] = 3
-    return GeneratorSystem(d, degrees)
+    return degrees
 
 
 def monomial_series(d: int, cap: int) -> TruncatedSeries:
@@ -76,7 +52,7 @@ def monomial_series(d: int, cap: int) -> TruncatedSeries:
     """
     degrees = [
         2 * degree
-        for degree, multiplicity in sorted(generator_system(d).degrees.items())
+        for degree, multiplicity in sorted(generator_system(d).items())
         for _ in range(multiplicity)
     ]
     return TruncatedSeries(geometric_product(degrees, cap), cap)

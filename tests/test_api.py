@@ -11,7 +11,8 @@ import pytest
 
 import motivic_betti
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 # sha256 of each demo's stdout, taken before motivic.py folded L^(-k) into
 # the numerator and built the congruence chain's classes once
@@ -29,14 +30,24 @@ DEMO_STDOUT_SHA256 = {
 }
 
 
-def demo_imports(path):
-    """Names a demo imports from the package, read without running it."""
+def package_imports(path):
+    """Names a file imports from the package or its modules, read by AST
+    without running it."""
     return {
         alias.name
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and node.module == "motivic_betti"
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "motivic_betti")
         for alias in node.names
     }
+
+
+def test_every_public_name_has_a_caller():
+    # the CLI, the demos and the acceptance gate are the package's users
+    users = [ROOT / "src" / "motivic_betti" / "cli.py", ROOT / "tests" / "test_acceptance.py"]
+    imported = set().union(*(package_imports(path) for path in users + DEMOS))
+    unused = set(motivic_betti.__all__) - imported
+    assert not unused, sorted(unused)
 
 
 def test_star_import():
@@ -59,7 +70,7 @@ def test_surface_stays_small():
 def test_demo_imports_are_public():
     assert len(DEMOS) == 5
     for demo in DEMOS:
-        missing = demo_imports(demo) - set(motivic_betti.__all__)
+        missing = package_imports(demo) - set(motivic_betti.__all__)
         assert not missing, (demo.name, sorted(missing))
 
 

@@ -162,9 +162,10 @@ class TestBettiCommand:
         assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_truncated_cache_row_is_recomputed(self, tmp_path):
+        # hilb_11.json is the row betti --d 5 --chi -6 reads
         cache = tmp_path / "cache"
-        assert run_cli("hilb", "--n", "5", "--cache-dir", str(cache)).returncode == 0
-        row = cache / "hilb_5.json"
+        assert run_cli("hilb", "--n", "11", "--cache-dir", str(cache)).returncode == 0
+        row = cache / "hilb_11.json"
         good = row.read_bytes()
         row.write_bytes(good[: len(good) // 2])
         res = run_cli("betti", "--d", "5", "--chi", "-6", "--cache-dir", str(cache))
@@ -172,8 +173,20 @@ class TestBettiCommand:
         expected = render(m_betti_table(5, -6, HilbCache()), "json")
         assert res.stdout == expected
         warnings = res.stderr.splitlines()
-        assert len(warnings) == 1 and "hilb_5.json" in warnings[0]
+        assert len(warnings) == 1 and "hilb_11.json" in warnings[0]
         assert row.read_bytes() == good
+
+    def test_kernel_run_rewrites_an_edited_lower_row(self, tmp_path):
+        cache = ["--cache-dir", str(tmp_path)]
+        assert cli.main(["hilb", "--n", "11", *cache]) == 0
+        row = tmp_path / "hilb_5.json"
+        obj = json.loads(row.read_text())
+        # b_2 up and b_4 down, with their mirrors: palindromic, same sum
+        for i, step in ((2, 1), (18, 1), (4, -1), (16, -1)):
+            obj["coeffs"][i] = str(int(obj["coeffs"][i]) + step)
+        row.write_text(json.dumps(obj))
+        assert cli.main(["hilb", "--n", "14", *cache]) == 0
+        assert row.read_text() == hilb.encode_cache_entry(hilb.hilb_poincare(5))
 
     def test_non_coprime_is_usage_error(self, cache_dir):
         res = run_cli("betti", "--d", "5", "--chi", "5", "--cache-dir", cache_dir)
@@ -215,6 +228,19 @@ class TestVerifyCommand:
         lines = res.stdout.splitlines()
         assert lines[0] == "name,pass,lhs_pv,rhs_pv,bound"
         assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "argv", [("betti", "--d", "5", "--chi", "-6"), ("verify", "--d", "5")],
+    ids=["betti", "verify"],
+)
+def test_no_cache_flag_writes_nothing(tmp_path, argv):
+    # run from an empty directory, importing the package under test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = run_cli(*argv, env_extra={"PYTHONPATH": path}, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestUsage:

@@ -300,6 +300,17 @@ class TestHilbCache:
             "generator": GENERATOR_TAG,
             "version": 1,
         }
+        # compact: one line per file
+        assert cache.path_for(2).read_text().count("\n") == 1
+
+    def test_pretty_printed_file_is_a_hit(self, tmp_path, capsys, monkeypatch):
+        # the same v1 format as earlier versions wrote it, with indent=2
+        hp = hilb_poincare(4)
+        obj = json.loads(hilb.encode_cache_entry(hp))
+        HilbCache(tmp_path).path_for(4).write_text(json.dumps(obj, indent=2) + "\n")
+        monkeypatch.setattr(hilb, "_theta_rows", None)  # a miss would call it
+        assert hilb_poincare(4, HilbCache(tmp_path)) == hp
+        assert capsys.readouterr().err == ""
 
     def test_no_temp_files_left(self, tmp_path):
         cache = HilbCache(tmp_path)

@@ -8,13 +8,23 @@ from motivic_betti.series import (
     IntPoly,
     OutOfWindowError,
     TruncatedSeries,
-    geometric,
     geometric_product,
 )
 
 
 def S(coeffs, cap):
     return TruncatedSeries(coeffs, cap)
+
+
+def geometric(deg, cap):
+    """The series ``1/(1 - z**deg)`` truncated at ``cap``: the dense oracle
+    for :func:`geometric_product`, one factor at a time."""
+    if deg <= 0:
+        raise ValueError(f"geometric factor needs deg >= 1, got {deg}")
+    out = [0] * cap
+    for e in range(0, cap, deg):
+        out[e] = 1
+    return S(out, cap)
 
 
 class TestIntPoly:

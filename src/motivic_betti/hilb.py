@@ -9,27 +9,34 @@ all the punctual Hilbert schemes ``Hilb^n(P^2)`` into one product,
 where the coefficient of ``z^i t^n`` is ``b_i(Hilb^n)``.  Odd-degree Betti
 numbers vanish and ``Hilb^n`` is smooth projective of dimension ``2n``, so
 the ``t^n`` row is a palindromic polynomial ``P_n(w)`` of degree ``2n`` in
-``w = z^2``.  Neither kernel expands the product: each divides by a sparse
-theta series (Hardy & Wright, ch. XIX), writing ``T_m = m(m+1)/2``.
+``w = z^2``.  Nothing here expands the product; write ``T_m = m(m+1)/2``.
 
-Jacobi's triple product turns the product into a recurrence of about
-``2 sqrt(2N)`` terms for row ``N``, so one run yields every row ``0 .. n``:
+With ``t = u/w`` the product is ``G = prod_k 1/((1 - u^k/w)(1 - u^k)(1 - w u^k))``
+and ``b_{2j}(Hilb^n)`` is the coefficient of ``u^n w^{j-n}``.  Ramanujan's
+1psi1 sum (Gasper & Rahman, Basic Hypergeometric Series, ch. 5) expands the
+reciprocal of Jacobi's theta function in partial fractions:
 
-    P_N(w) (w - 1) = sum_{m >= 1, T_m <= N} (-1)^{m+1}
-                     (w^{T_m+m+1} - w^{T_m-m}) P_{N-T_m}(w),   P_0 = 1.
+    G = (1 - w) E(u) sum_{m in Z} (-1)^m u^{T_m} / (1 - w u^m),
 
-Rows are packed into ints at ``w = 2^W`` (Kronecker substitution), so a
-term is two shifts and the division is one exact ``divmod`` by ``2^W - 1``.
-The slot width comes from the Euler number ``chi(Hilb^n)``, which bounds
-every coefficient, and each unpacked row must sum to its Euler number, so
-an overflow cannot pass silently.
+where ``E = prod (1 - u^k)^{-3} = sum chi_n u^n`` holds the Euler numbers
+``chi_n = chi(Hilb^n)``.  So each coefficient of one row is a short
+alternating sum of Euler numbers; with ``e = n - j`` and ``chi_i = 0`` for
+``i < 0``,
 
-The low half of each row stabilizes: ``b_{2s}(Hilb^n)`` is independent of
-``n`` once ``2s <= n``.  In ``q = z^2`` the stable values are generated by
-``R = (1-q)^{-2} prod_{m >= 2} (1-q^m)^{-3}``, which Jacobi's cube identity
-``prod (1-q^m)^3 = sum_{k >= 0} (-1)^k (2k+1) q^{T_k}`` turns into
+    e = 0:   b_{2j} = chi_n + 2 sum_{m >= 1} (-1)^m chi_{n - T_m},
+    e >= 1:  b_{2j} = sum_{m >= 1} (-1)^m (chi_{n - T_m - m e}
+                                           - chi_{n - T_m - m(e-1)}),
 
-    r_j = [j = 0] - [j = 1] - sum_{k >= 1, T_k <= j} (-1)^k (2k+1) r_{j-T_k}.
+and the low half of row ``n`` costs ``O(n log n)`` additions, no other row
+being built.
+
+``E`` and the stable series are both quotients by ``prod (1-q^m)^3``, which
+Jacobi's cube identity writes as ``sum_{k >= 0} (-1)^k (2k+1) q^{T_k}``
+(Hardy & Wright, ch. XIX), a recurrence of about ``sqrt(2j)`` terms for
+coefficient ``j``.  The low half of each row stabilizes: ``b_{2s}(Hilb^n)``
+is independent of ``n`` once ``2s <= n``, and in ``q = z^2`` the stable
+values are generated by ``R = (1-q) E(q) = (1-q)^{-2} prod_{m >= 2} (1-q^m)^{-3}``,
+so ``r_j = chi_j - chi_{j-1}``.
 
 An independent Euler-number oracle counts three-colored partitions (the
 ``z -> 1`` specialization is ``prod (1 - t^k)^{-3}``).  A disk cache keeps
@@ -40,6 +47,7 @@ on stderr and treated as a miss, so the row is recomputed and rewritten.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,7 +55,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
-from .series import IntPoly, TruncatedSeries, geometric_product
+from .series import IntPoly, TruncatedSeries
 
 CACHE_FORMAT_VERSION = 1
 GENERATOR_TAG = "goettsche-p2-triple-product"
@@ -185,65 +193,63 @@ def _decode_cache_file(text: str, expected_n: int) -> HilbPoincare:
     return HilbPoincare(expected_n, IntPoly(coeffs))
 
 
-def _euler_numbers(n: int) -> list[int]:
-    """``chi(Hilb^m)`` for ``m <= n``: the coefficients of ``prod (1-t^k)^{-3}``."""
-    return geometric_product((k for k in range(1, n + 1) for _ in range(3)), n + 1)
-
-
-def _slot_width(euler_n: int) -> int:
-    """Bits per packed coefficient for rows up to ``n``, from ``chi(Hilb^n)``.
-
-    No coefficient of a row ``m <= n`` exceeds ``chi(Hilb^m) <= chi(Hilb^n)``;
-    the packed recurrence is exact at any width, so only unpacking needs it.
-    """
-    return euler_n.bit_length() + 1
-
-
 def _triangular(limit: int) -> list[tuple[int, int]]:
     """``(m, T_m)`` for every ``m >= 1`` with ``T_m = m(m+1)/2 <= limit``."""
-    pairs = ((m, m * (m + 1) // 2) for m in range(1, limit + 1))
-    return [(m, t) for m, t in pairs if t <= limit]
+    top = (math.isqrt(8 * limit + 1) - 1) // 2
+    return [(m, m * (m + 1) // 2) for m in range(1, top + 1)]
 
 
-def _theta_rows(n: int, width: int) -> list[list[int]]:
-    """Coefficients of ``w^0 .. w^m`` in the ``t^m`` row, for every ``m <= n``.
+def _cube_quotient(head: list[int], length: int) -> list[int]:
+    """Coefficients of ``q^0 .. q^{length-1}`` in ``head(q) / prod (1-q^k)^3``.
 
-    Rows are packed whole, ``width`` bits a slot; only low halves are unpacked.
+    The divisor is Jacobi's cube-identity series, so coefficient ``j`` takes
+    about ``sqrt(2j)`` terms.
     """
-    terms = [
-        (t, width * (t + m + 1), width * (t - m), m % 2) for m, t in _triangular(n)
-    ]
-    packed = [1]
-    for big_n in range(1, n + 1):
-        acc = 0
-        for t, high, low, odd in terms:
-            if t > big_n:
+    r = head[:length] + [0] * (length - len(head))
+    terms = [(t, (2 * k + 1) * (-1) ** (k + 1)) for k, t in _triangular(length - 1)]
+    for j in range(1, length):
+        acc = r[j]
+        for t, c in terms:
+            if t > j:
                 break
-            term = (packed[big_n - t] << high) - (packed[big_n - t] << low)
-            acc = acc + term if odd else acc - term
-        row, rem = divmod(acc, (1 << width) - 1)
-        if rem:
-            raise ConsistencyError(f"packed row {big_n} is not divisible by w - 1")
-        packed.append(row)
-    halves = []
-    for m, row in enumerate(packed):
-        bits_len = width * (m + 1)
-        bits = format(row & ((1 << bits_len) - 1), f"0{bits_len}b")
-        halves.append([
-            int(bits[bits_len - width * (j + 1):bits_len - width * j], 2)
-            for j in range(m + 1)
-        ])
-    return halves
+            acc += c * r[j - t]
+        r[j] = acc
+    return r
+
+
+def _low_half(n: int, euler: list[int]) -> list[int]:
+    """Coefficients of ``w^0 .. w^n`` in the ``t^n`` row, by the 1psi1 sum.
+
+    ``euler`` holds ``chi_0 .. chi_n`` at least; coefficient ``w^j`` is
+    built at ``e = n - j``, and its sum stops once both indices are negative.
+    """
+    terms = _triangular(n)
+    by_e = [euler[n] + 2 * sum((-1) ** m * euler[n - t] for m, t in terms)]
+    for e in range(1, n + 1):
+        acc = 0
+        for m, t in terms:
+            high = n - t - m * (e - 1)
+            if high < 0:
+                break
+            low = high - m
+            diff = (euler[low] if low >= 0 else 0) - euler[high]
+            acc = acc - diff if m % 2 else acc + diff
+        by_e.append(acc)
+    return by_e[::-1]
 
 
 def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
     """Poincare polynomial of ``Hilb^n(P^2)``, from the ``t^n`` row.
 
-    One run of the kernel yields every row ``m <= n``, so all of them are
-    cached, replacing what the cache held.  Each low half is mirrored into the full palindromic row.  A
-    slot width too narrow for a coefficient carries into the next slot or
-    past the mask, and either one changes the row's coefficient sum, so
-    every row is checked against its Euler number first.
+    Without a cache only row ``n`` is built.  With one, every row
+    ``m <= n`` is built and cached, replacing what the cache held.
+
+    Each low half is mirrored into the full palindromic row, which must sum
+    to ``chi_m``.  The check shares ``chi`` with the kernel: the 1psi1 terms
+    telescope to ``chi_m`` whichever of them are kept, so it catches a wrong
+    coefficient or mirror, not a wrong Euler number or a dropped term; the
+    tests check those against the packed triple-product recurrence and the
+    product expansion.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -251,13 +257,13 @@ def hilb_poincare(n: int, cache: Optional[HilbCache] = None) -> HilbPoincare:
         hit = cache.get(n)
         if hit is not None:
             return hit
-    euler = _euler_numbers(n)
-    for m, low in enumerate(_theta_rows(n, _slot_width(euler[n]))):
+    euler = _cube_quotient([1], n + 1)
+    for m in range(n + 1) if cache is not None else (n,):
+        low = _low_half(m, euler)
         full = low + low[-2::-1]
         if sum(full) != euler[m]:
             raise ConsistencyError(
-                f"packed row {m} sums to {sum(full)}, not chi(Hilb^{m}) = "
-                f"{euler[m]}: slot width overflowed"
+                f"row {m} sums to {sum(full)}, not chi(Hilb^{m}) = {euler[m]}"
             )
         coeffs = [0] * (4 * m + 1)
         coeffs[::2] = full
@@ -271,17 +277,8 @@ def stable_series(cap: int) -> TruncatedSeries:
     """The stable series ``R(z)`` below ``cap``, by the cube-identity recurrence."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    r = [1] + [0] * ((cap - 1) // 2)
-    terms = [(t, (2 * k + 1) * (-1) ** (k + 1)) for k, t in _triangular(len(r) - 1)]
-    for j in range(1, len(r)):
-        acc = -(j == 1)
-        for t, c in terms:
-            if t > j:
-                break
-            acc += c * r[j - t]
-        r[j] = acc
     coeffs = [0] * cap
-    coeffs[::2] = r
+    coeffs[::2] = _cube_quotient([1, -1], (cap + 1) // 2)
     return TruncatedSeries(IntPoly(coeffs), cap)
 
 

@@ -102,8 +102,8 @@ def relation_count(
     ``a_{2i}`` minus the moduli Betti number ``b_{2i}``; the Betti table
     stops at ``i = d``, so larger degrees raise rather than guess.
 
-    Each call builds the whole Betti table, which runs the Hilbert-scheme
-    kernel unless ``cache`` holds the row, and a fresh monomial series.  A
+    Each call builds the whole Betti table, which builds the one Hilbert
+    row ``n'`` unless ``cache`` holds it, and a fresh monomial series.  A
     caller that wants every degree should build ``m_betti_table(d, chi)``
     and ``monomial_series(d, 2 * d + 1)`` once and subtract row by row, as
     the ``relations`` subcommand does.

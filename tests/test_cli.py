@@ -29,6 +29,13 @@ def run_cli(*args, env_extra=None, cwd=None):
     )
 
 
+def run_in_empty_dir(tmp_path, *args):
+    """``run_cli`` from ``tmp_path``, importing the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return run_cli(*args, env_extra={"PYTHONPATH": path}, cwd=tmp_path)
+
+
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("hilb-cache"))
@@ -235,10 +242,7 @@ class TestVerifyCommand:
     ids=["betti", "verify"],
 )
 def test_no_cache_flag_writes_nothing(tmp_path, argv):
-    # run from an empty directory, importing the package under test
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    res = run_cli(*argv, env_extra={"PYTHONPATH": path}, cwd=tmp_path)
+    res = run_in_empty_dir(tmp_path, *argv)
     assert res.returncode == 0, res.stderr
     assert list(tmp_path.iterdir()) == []
 
@@ -316,6 +320,15 @@ STDOUT_SHA256 = {
         "49356f4d060940810628b13a3d3f6eccb45e9893ed42aef32f25194d4f529bc1",
 }
 
+# sha256 of stdout with no cache, from an empty working directory, taken
+# from the packed triple-product kernel (about 8 s each, every row built)
+UNCACHED_STDOUT_SHA256 = {
+    ("hilb", "--n", "1712"):
+        "282c7e2e8a536007372072b62bf0420be727d6aff2083da6eb2cbf8c680cae21",
+    ("verify", "--d", "60"):
+        "a26fd56a82bf7a8423b60b58315058e3fa576d0e8b966af5f69201435bea17cd",
+}
+
 CACHED = ("hilb", "betti", "relations", "verify")
 
 
@@ -329,6 +342,14 @@ def test_stdout_is_pinned(cache_dir, argv):
     res = run_cli(*argv, *extra)
     assert res.returncode == 0
     assert sha256(res.stdout) == STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(UNCACHED_STDOUT_SHA256))
+def test_large_uncached_stdout_is_pinned(tmp_path, argv):
+    res = run_in_empty_dir(tmp_path, *argv)
+    assert res.returncode == 0, res.stderr
+    assert sha256(res.stdout) == UNCACHED_STDOUT_SHA256[argv]
+    assert list(tmp_path.iterdir()) == []
 
 
 # one sha256 over the exit codes and stdout of verify --d 5, 9 and 20 (d = 9
@@ -421,10 +442,17 @@ def test_one_parser_keeps_no_state_between_calls(no_new_parser, capsys, tmp_path
     assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
-def test_overflowed_kernel_is_a_failure_not_usage(monkeypatch, tmp_path, capsys):
-    width = hilb._slot_width
-    monkeypatch.setattr(hilb, "_slot_width", lambda euler_n: width(euler_n) // 2)
-    assert cli.main(["hilb", "--n", "40", "--cache-dir", str(tmp_path)]) == 1
+def test_failed_row_check_is_a_failure_not_usage(monkeypatch, capsys):
+    low_half = hilb._low_half
+
+    def off_by_one(n, euler):
+        low = low_half(n, euler)
+        low[-1] += 1
+        return low
+
+    monkeypatch.setattr(hilb, "_low_half", off_by_one)
+    assert cli.main(["hilb", "--n", "40"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: packed row ") and "overflowed" in err
+    assert err.startswith("error: row 40 sums to ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from motivic_betti import hilb
 from motivic_betti.hilb import (
     GENERATOR_TAG,
+    ConsistencyError,
     HilbCache,
     HilbPoincare,
+    _triangular,
     colored_partition_euler,
     hilb_poincare,
     stable_betti,
@@ -65,12 +67,12 @@ FACTOR_OFFSETS = (-1, 0, 1)
 def product_rows(n, width):
     """Low halves of rows ``0 .. n`` by expanding the product factor by factor.
 
-    The product-form oracle for the triple-product kernel: row ``m`` is
+    The product-form oracle for the packed recurrence: row ``m`` is
     packed into one int, ``width`` bits per coefficient of ``w^0 .. w^n``,
     so the factor ``(1 - w^b t^k)^{-1}`` becomes one shift-add per row,
     ``row[m] += row[m-k] << width*b`` in increasing ``m``, masked back to
     ``n + 1`` slots.  Every partial coefficient is non-negative and at most
-    ``chi(Hilb^n)``, so the slot width of the kernel serves here too.
+    ``chi(Hilb^n)``, so the slot width of the recurrence serves here too.
     """
     bits_len = width * (n + 1)
     mask = (1 << bits_len) - 1
@@ -91,6 +93,46 @@ def product_rows(n, width):
     return halves
 
 
+def _slot_width(euler_n: int) -> int:
+    """Bits per packed coefficient for rows up to ``n``, from ``chi(Hilb^n)``.
+
+    No coefficient of a row ``m <= n`` exceeds ``chi(Hilb^m) <= chi(Hilb^n)``;
+    the packed recurrence is exact at any width, so only unpacking needs it.
+    """
+    return euler_n.bit_length() + 1
+
+
+def _theta_rows(n: int, width: int) -> list[list[int]]:
+    """Coefficients of ``w^0 .. w^m`` in the ``t^m`` row, for every ``m <= n``.
+
+    Rows are packed whole, ``width`` bits a slot; only low halves are unpacked.
+    """
+    terms = [
+        (t, width * (t + m + 1), width * (t - m), m % 2) for m, t in _triangular(n)
+    ]
+    packed = [1]
+    for big_n in range(1, n + 1):
+        acc = 0
+        for t, high, low, odd in terms:
+            if t > big_n:
+                break
+            term = (packed[big_n - t] << high) - (packed[big_n - t] << low)
+            acc = acc + term if odd else acc - term
+        row, rem = divmod(acc, (1 << width) - 1)
+        if rem:
+            raise ConsistencyError(f"packed row {big_n} is not divisible by w - 1")
+        packed.append(row)
+    halves = []
+    for m, row in enumerate(packed):
+        bits_len = width * (m + 1)
+        bits = format(row & ((1 << bits_len) - 1), f"0{bits_len}b")
+        halves.append([
+            int(bits[bits_len - width * (j + 1):bits_len - width * j], 2)
+            for j in range(m + 1)
+        ])
+    return halves
+
+
 def stride_stable_series(cap):
     """``R(z) = 1/(1-z^2)^2 prod_{m >= 2} 1/(1-z^{2m})^3`` by stride passes.
 
@@ -101,10 +143,20 @@ def stride_stable_series(cap):
     return geometric_product(degrees, cap)
 
 
+def stride_euler(n):
+    """``chi(Hilb^m)`` for ``m <= n``: ``prod (1-t^k)^{-3}`` by stride passes."""
+    return geometric_product((k for k in range(1, n + 1) for _ in range(3)), n + 1)
+
+
+def oracle_rows(n):
+    """Low halves of rows ``0 .. n`` by the packed triple-product recurrence."""
+    return _theta_rows(n, _slot_width(stride_euler(n)[n]))
+
+
 def both_kernels(n):
-    """``(theta rows, product rows)`` for ``0 .. n`` at the kernel's width."""
-    width = hilb._slot_width(hilb._euler_numbers(n)[n])
-    return hilb._theta_rows(n, width), product_rows(n, width)
+    """``(theta rows, product rows)`` for ``0 .. n`` at the recurrence's width."""
+    width = _slot_width(stride_euler(n)[n])
+    return _theta_rows(n, width), product_rows(n, width)
 
 
 def without_theta_term(z_degree):
@@ -124,7 +176,7 @@ def stable_row_mismatches(cache):
 
 
 class TestGoettscheBivariate:
-    """Rows of the bivariate product, as the packed kernel computes them."""
+    """Rows of the bivariate product, as the closed form computes them."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10))
@@ -141,27 +193,21 @@ class TestGoettscheBivariate:
         assert hilb_poincare(2).poly == IntPoly([1, 0, 2, 0, 3, 0, 2, 0, 1])
 
     def test_oracle_rejects_perturbed_factor(self, monkeypatch):
-        # the triple-product recurrence without its m = 2 term (T_2 = 3,
-        # z^6): every term is divisible by w - 1, so the kernel still
-        # returns rows, and their mirrored low halves must then disagree
-        # with the enumeration
+        # the 1psi1 sum without its m = 2 term (T_2 = 3, z^6): the terms
+        # telescope, so every row still sums to its Euler number and passes
+        # the kernel's own check, and only the enumeration tells rows 3 .. 7
+        # apart from the true ones
+        euler = hilb._cube_quotient([1], 8)
         monkeypatch.setattr(hilb, "_triangular", without_theta_term(6))
-        n = 6
-        halves = hilb._theta_rows(n, hilb._slot_width(colored_partition_euler(n)))
-        mirrored = [low + low[-2::-1] for low in halves]
-        assert any(
-            row != enumerated_row(m)[::2] for m, row in enumerate(mirrored)
-        )
-
-    def test_narrow_slots_raise(self, monkeypatch):
-        width = hilb._slot_width
-        monkeypatch.setattr(hilb, "_slot_width", lambda euler_n: width(euler_n) // 2)
-        with pytest.raises(ValueError, match="overflowed"):
-            hilb_poincare(40)
+        for n in range(8):
+            low = hilb._low_half(n, euler)
+            full = low + low[-2::-1]
+            assert sum(full) == euler[n]
+            assert (full != enumerated_row(n)[::2]) == (n >= 3), n
 
 
 class TestKernelsAgainstProductOracles:
-    """Both theta-quotient kernels against the product expansions they replace."""
+    """Both kernels against the recurrence and product expansions they replace."""
 
     # every row 0 .. n; up to n = 150 the oracle takes about 0.05 s, and
     # 15 examples kept this test near 0.3 s on a 2-core machine
@@ -177,6 +223,19 @@ class TestKernelsAgainstProductOracles:
         assert theta == product
 
     @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=150))
+    def test_closed_form_matches_recurrence(self, n):
+        euler = hilb._cube_quotient([1], n + 1)
+        assert [hilb._low_half(m, euler) for m in range(n + 1)] == oracle_rows(n)
+
+    @pytest.mark.parametrize("n", [209, 300, 742])
+    def test_closed_form_matches_recurrence_at_size(self, n):
+        low = hilb._low_half(n, hilb._cube_quotient([1], n + 1))
+        assert low == oracle_rows(n)[n]
+        # hard Lefschetz on Hilb^n: b_0 <= b_2 <= ... <= b_{2n}
+        assert all(a <= b for a, b in zip(low, low[1:]))
+
+    @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=1, max_value=2001))
     def test_stable_series_matches_stride_product(self, cap):
         assert stable_series(cap) == TruncatedSeries(stride_stable_series(cap), cap)
@@ -187,7 +246,8 @@ class TestKernelsAgainstProductOracles:
     def test_stable_series_is_euler_differences(self):
         # R(q) = (1 - q) prod (1 - q^m)^{-3}: r_j = chi(Hilb^j) - chi(Hilb^{j-1}),
         # with the Euler numbers from the stride product
-        euler = hilb._euler_numbers(500)
+        euler = stride_euler(500)
+        assert hilb._cube_quotient([1], 501) == euler
         r = stable_series(1001)
         assert r.coeff(0) == euler[0]
         assert all(r.coeff(2 * j) == euler[j] - euler[j - 1] for j in range(1, 501))
@@ -308,7 +368,7 @@ class TestHilbCache:
         hp = hilb_poincare(4)
         obj = json.loads(hilb.encode_cache_entry(hp))
         HilbCache(tmp_path).path_for(4).write_text(json.dumps(obj, indent=2) + "\n")
-        monkeypatch.setattr(hilb, "_theta_rows", None)  # a miss would call it
+        monkeypatch.setattr(hilb, "_low_half", None)  # a miss would call it
         assert hilb_poincare(4, HilbCache(tmp_path)) == hp
         assert capsys.readouterr().err == ""
 
@@ -322,6 +382,19 @@ class TestHilbCache:
         cache = HilbCache(tmp_path)
         hilb_poincare(4, cache)
         assert all(cache.path_for(m).exists() for m in range(5))
+
+    def test_rows_built_with_and_without_a_cache(self, tmp_path, monkeypatch):
+        built = []
+        low_half = hilb._low_half
+        monkeypatch.setattr(
+            hilb, "_low_half", lambda n, euler: built.append(n) or low_half(n, euler)
+        )
+        hilb_poincare(40)
+        assert built == [40]
+        built.clear()
+        hilb_poincare(40, HilbCache(tmp_path))
+        assert built == list(range(41))
+        assert {p.name for p in tmp_path.iterdir()} == {f"hilb_{m}.json" for m in range(41)}
 
     def test_memory_only_cache(self):
         cache = HilbCache()
